@@ -8,9 +8,9 @@
 //! once per tick: every poll files the arrived messages through the
 //! shared ingress path, and the current phase *acts* (verifies, resolves,
 //! publishes) as soon as its expected messages are complete — or when the
-//! agent's patience budget expires, whichever comes first. Under the
-//! lockstep transport with the default patience of one tick, acts land on
-//! exactly the classic six-round schedule.
+//! agent's patience budget expires, whichever comes first. Under
+//! synchronous delivery with the default patience of one tick, acts land
+//! on exactly the classic six-round schedule.
 //!
 //! **Detection semantics** (Theorems 4 and 8):
 //!

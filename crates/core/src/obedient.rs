@@ -18,7 +18,7 @@
 
 use crate::error::DmwError;
 use dmw_mechanism::{AgentId, ExecutionTimes, MinWork, Outcome, TieBreak};
-use dmw_simnet::{Network, NetworkStats, NodeId, Payload};
+use dmw_simnet::{Network, NetworkStats, NodeId, Payload, Transport};
 use serde::{Deserialize, Serialize};
 
 /// Messages of the obedient protocol.

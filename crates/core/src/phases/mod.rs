@@ -13,8 +13,7 @@
 //! the agent's patience budget expires, then advances to
 //! [`Phase::next`]. Nothing in the protocol logic consults a round
 //! number (dmw-lint rule L6 forbids it here), which is what lets the
-//! same agent run unchanged over the lockstep transport and over
-//! asynchronous delayed transports.
+//! same agent run unchanged over synchronous and delayed delivery.
 //!
 //! | phase | paper step | waits for | acts (sends) |
 //! |-------|------------|-----------|--------------|

@@ -11,12 +11,13 @@
 //! payment infrastructure. It is the reproduction's equivalent of
 //! "implementing DMW in a simulated distributed environment" (Section 5).
 //!
-//! On the default [`dmw_simnet::LockstepTransport`] with the default
+//! On the default synchronous [`dmw_simnet::Network`] with the default
 //! patience, ticks coincide with the paper's synchronous rounds and honest
 //! runs take exactly [`PROTOCOL_ROUNDS`] of them. [`DmwRunner::run_on`]
-//! accepts any other transport — e.g. [`dmw_simnet::DelayTransport`] with
-//! per-link delays — together with [`DmwRunner::with_round_budget`] and
-//! [`DmwRunner::with_patience`] to give messages time to arrive.
+//! accepts any other transport — e.g. a `Network` with a
+//! [`dmw_simnet::DelayProfile`] or per-link delays — together with
+//! [`DmwRunner::with_round_budget`] and [`DmwRunner::with_patience`] to
+//! give messages time to arrive.
 
 use crate::agent::{AgentStatus, DmwAgent};
 use crate::config::DmwConfig;
@@ -29,12 +30,12 @@ use crate::trace::TraceEvent;
 use dmw_mechanism::{AgentId, ExecutionTimes, Schedule, TaskId};
 use dmw_obs::{Key, MetricsSink, MetricsSnapshot};
 use dmw_simnet::{
-    coalesce, FaultPlan, LockstepTransport, NetworkStats, NodeId, Payload, Recipient, Transport,
+    coalesce, FaultPlan, Network, NetworkStats, NodeId, Payload, Recipient, Transport,
 };
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Number of synchronous protocol rounds on the lockstep transport (0–4
+/// Number of synchronous protocol rounds on the default network (0–4
 /// active, one propagation round so late aborts reach every agent). This
 /// is the default round budget of the scheduler.
 pub const PROTOCOL_ROUNDS: u64 = 6;
@@ -345,12 +346,7 @@ impl DmwRunner {
         rng: &mut R,
     ) -> Result<DmwRun, DmwError> {
         let n = self.config.agents();
-        self.run_on(
-            bids,
-            behaviors,
-            LockstepTransport::with_faults(n, faults),
-            rng,
-        )
+        self.run_on(bids, behaviors, Network::with_faults(n, faults), rng)
     }
 
     /// Runs the protocol over an arbitrary [`Transport`].
@@ -359,7 +355,7 @@ impl DmwRunner {
     /// outgoing messages out), steps the transport, and stops at the
     /// round budget or as soon as every agent is terminal and the
     /// transport is quiescent — whichever comes first. With the default
-    /// budget and patience on a [`LockstepTransport`] this reproduces the
+    /// budget and patience on a synchronous [`Network`] this reproduces the
     /// paper's six synchronous rounds bit for bit.
     ///
     /// # Errors
@@ -757,7 +753,7 @@ impl DmwRunner {
         // The survivor sub-configuration keeps the bid range valid:
         // `w_max = n − c − 1` is invariant under `(n − x, c − x)`, so
         // every original bid re-auctions unchanged. The sub-run rides a
-        // pristine lockstep transport: recovery models the re-auction as
+        // pristine synchronous network: recovery models the re-auction as
         // happening after the disruption that caused the exclusion has
         // passed (persistent chaos would simply trigger recovery again).
         let survivors: Vec<usize> = (0..n).filter(|i| !excluded.contains(i)).collect();

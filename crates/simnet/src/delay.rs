@@ -1,28 +1,19 @@
-//! A deterministic asynchronous transport with per-link delivery delays.
+//! The latency model of the simulated [`Network`](crate::Network).
 //!
-//! [`DelayTransport`] relaxes the lockstep model: every message is held
-//! for `1 + base + per-link schedule + seeded jitter` ticks before it
-//! reaches the recipient's inbox. The delay draw is a pure function of
-//! the profile seed and a per-message sequence number, so a run is
+//! A [`DelayProfile`] holds every message for
+//! `1 + base + per-link schedule + seeded jitter` ticks before it reaches
+//! the recipient's inbox. The delay draw is a pure function of the
+//! profile seed and a per-message sequence number, so a run is
 //! bit-replayable — asynchrony here is a *parameter*, not a source of
-//! nondeterminism. With [`DelayProfile::synchronous`] (and no per-link
-//! schedule) the transport degenerates to exactly the lockstep delivery
-//! order, which is how the equivalence tests anchor it.
-//!
-//! An optional seeded inbox shuffle additionally permutes same-tick
-//! arrivals per recipient, probing the protocol's independence from
-//! arrival order *within* a tick.
+//! nondeterminism. [`DelayProfile::synchronous`], the network's
+//! default, delivers everything on the next tick: the paper's
+//! synchronous rounds.
 
-use crate::faults::{splitmix64, FaultPlan};
-use crate::network::{classify_loss, record_drop, record_enqueue, Delivered, NodeId, Payload};
-use crate::stats::NetworkStats;
-use crate::transport::Transport;
-use dmw_obs::MetricsSnapshot;
-use std::collections::VecDeque;
+use crate::faults::splitmix64;
 
-/// The latency model of a [`DelayTransport`]: every message waits
-/// `1 + base + U{0..=jitter}` ticks, the jitter term drawn from a seeded
-/// deterministic stream.
+/// The latency model of a [`Network`](crate::Network): every message
+/// waits `1 + base + U{0..=jitter}` ticks, the jitter term drawn from a
+/// seeded deterministic stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DelayProfile {
     base: u64,
@@ -31,7 +22,7 @@ pub struct DelayProfile {
 }
 
 impl DelayProfile {
-    /// Next-tick delivery, exactly like the lockstep transport.
+    /// Next-tick delivery: the paper's synchronous rounds.
     pub fn synchronous() -> Self {
         Self::fixed(0)
     }
@@ -57,7 +48,7 @@ impl DelayProfile {
     }
 
     /// The extra delay for the message with sequence number `seq`.
-    fn draw(&self, seq: u64) -> u64 {
+    pub(crate) fn draw(&self, seq: u64) -> u64 {
         if self.jitter == 0 {
             self.base
         } else {
@@ -66,372 +57,16 @@ impl DelayProfile {
     }
 }
 
-/// One held transmission, waiting for its due tick.
-#[derive(Debug, Clone)]
-struct Held<M> {
-    due: u64,
-    sent_round: u64,
-    /// Enqueue-order sequence number (1-based). The periodic-drop
-    /// schedule is evaluated against this, not against delivery order,
-    /// so a [`FaultPlan`] selects the same logical messages regardless
-    /// of jitter — exactly the numbering the lockstep transport's
-    /// in-order delivery produces.
-    seq: u64,
-    /// 1-based position in the control-only enqueue order when the
-    /// payload is control traffic (acks, nacks), `None` for data — the
-    /// key for the asymmetric ack-path drop schedule.
-    control_seq: Option<u64>,
-    /// `true` when the reorder schedule claimed this transmission: its
-    /// due tick carries a one-tick penalty that loss classification must
-    /// see through (the link state that matters is the one the message
-    /// would have met undisplaced).
-    reordered: bool,
-    from: NodeId,
-    to: NodeId,
-    broadcast: bool,
-    payload: M,
-}
-
-/// An asynchronous-but-deterministic implementation of [`Transport`].
-///
-/// Fault semantics mirror the lockstep transport: a message is lost when
-/// its sender was crashed at the tick it was sent, its recipient is
-/// crashed at the tick before delivery completes, the directed link is
-/// dropped, or the periodic-drop schedule claims the transmission.
-/// Traffic counters follow the same convention (`point_to_point`/`bytes`
-/// at enqueue, `delivered`/`dropped` at delivery), so Theorem 11's cost
-/// accounting is unchanged by asynchrony.
-#[derive(Debug)]
-pub struct DelayTransport<M> {
-    n: usize,
-    round: u64,
-    holding: Vec<Held<M>>,
-    inboxes: Vec<VecDeque<Delivered<M>>>,
-    stats: NetworkStats,
-    metrics: MetricsSnapshot,
-    faults: FaultPlan,
-    profile: DelayProfile,
-    shuffle_seed: Option<u64>,
-    seq: u64,
-    /// Control-only enqueue counter feeding the ack-path drop schedule.
-    control_seq: u64,
-}
-
-impl<M: Payload + Clone> DelayTransport<M> {
-    /// Creates a fault-free delayed network of `n` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize, profile: DelayProfile) -> Self {
-        Self::with_faults(n, FaultPlan::none(n), profile)
-    }
-
-    /// Creates a delayed network with a fault schedule (whose
-    /// [`FaultPlan::link_delay`] entries add to the profile's latency).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn with_faults(n: usize, faults: FaultPlan, profile: DelayProfile) -> Self {
-        assert!(n > 0, "network needs at least one node");
-        DelayTransport {
-            n,
-            round: 0,
-            holding: Vec::new(),
-            inboxes: (0..n).map(|_| VecDeque::new()).collect(),
-            stats: NetworkStats::default(),
-            metrics: MetricsSnapshot::default(),
-            faults,
-            profile,
-            shuffle_seed: None,
-            seq: 0,
-            control_seq: 0,
-        }
-    }
-
-    /// Additionally permutes each recipient's same-tick arrivals with a
-    /// seeded Fisher–Yates shuffle — delivery-order fuzzing that stays
-    /// bit-replayable.
-    pub fn with_inbox_shuffle(mut self, seed: u64) -> Self {
-        self.shuffle_seed = Some(seed);
-        self
-    }
-
-    /// The latency model in force.
-    pub fn profile(&self) -> &DelayProfile {
-        &self.profile
-    }
-
-    fn enqueue(&mut self, from: NodeId, to: NodeId, broadcast: bool, payload: M) {
-        self.stats.point_to_point += 1;
-        self.stats.bytes += payload.size_bytes() as u64;
-        self.seq += 1;
-        let control_seq = payload.is_control().then(|| {
-            self.control_seq += 1;
-            self.control_seq
-        });
-        let reordered = self.faults.is_reordered(self.seq);
-        let delay = self.profile.draw(self.seq) + self.faults.link_delay_or_zero(from, to);
-        record_enqueue(
-            &mut self.metrics,
-            from,
-            to,
-            payload.size_bytes() as u64,
-            1 + delay + u64::from(reordered),
-        );
-        self.holding.push(Held {
-            due: self.round + 1 + delay + u64::from(reordered),
-            sent_round: self.round,
-            seq: self.seq,
-            control_seq,
-            reordered,
-            from,
-            to,
-            broadcast,
-            payload,
-        });
-    }
-
-    /// Enqueues a private point-to-point message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range or `from == to`.
-    pub fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
-        assert!(from.0 < self.n && to.0 < self.n, "node out of range");
-        assert_ne!(from, to, "self-sends are local state, not messages");
-        self.enqueue(from, to, false, payload);
-    }
-
-    /// Publishes a message to every other node — `n − 1` point-to-point
-    /// transmissions, each with its own delay draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is out of range.
-    pub fn broadcast(&mut self, from: NodeId, payload: M) {
-        assert!(from.0 < self.n, "node out of range");
-        self.stats.broadcasts += 1;
-        for to in 0..self.n {
-            if to == from.0 {
-                continue;
-            }
-            self.enqueue(from, NodeId(to), true, payload.clone());
-        }
-    }
-
-    /// Advances one tick: messages whose due tick has arrived move into
-    /// inboxes (in enqueue order, unless shuffled). Returns the number
-    /// delivered.
-    pub fn step(&mut self) -> u64 {
-        let next = self.round + 1;
-        let (mut arrivals, kept): (Vec<Held<M>>, Vec<Held<M>>) = std::mem::take(&mut self.holding)
-            .into_iter()
-            .partition(|msg| msg.due <= next);
-        self.holding = kept;
-        if let Some(seed) = self.shuffle_seed {
-            self.shuffle_per_recipient(&mut arrivals, seed);
-        }
-        let mut delivered = 0;
-        for msg in arrivals {
-            if let Some(cause) = classify_loss(
-                &self.faults,
-                msg.from,
-                msg.to,
-                msg.sent_round,
-                // The pre-reorder landing tick: both transports attribute
-                // loss as if the message had not been displaced, keeping
-                // crash-boundary classification transport-invariant.
-                msg.due.saturating_sub(1 + u64::from(msg.reordered)),
-                msg.seq,
-                msg.control_seq,
-            ) {
-                self.stats.dropped += 1;
-                record_drop(&mut self.metrics, cause);
-                continue;
-            }
-            self.inboxes[msg.to.0].push_back(Delivered {
-                from: msg.from,
-                broadcast: msg.broadcast,
-                payload: msg.payload,
-            });
-            delivered += 1;
-        }
-        self.stats.delivered += delivered;
-        self.stats.rounds += 1;
-        self.round = next;
-        delivered
-    }
-
-    /// Seeded Fisher–Yates over each recipient's slice of this tick's
-    /// arrivals. Only positions belonging to the same recipient swap, so
-    /// cross-recipient structure is untouched.
-    fn shuffle_per_recipient(&self, arrivals: &mut [Held<M>], seed: u64) {
-        for node in 0..self.n {
-            let slots: Vec<usize> = arrivals
-                .iter()
-                .enumerate()
-                .filter(|(_, msg)| msg.to.0 == node)
-                .map(|(i, _)| i)
-                .collect();
-            if slots.len() < 2 {
-                continue;
-            }
-            let mut state = splitmix64(seed ^ (self.round << 20) ^ node as u64);
-            for i in (1..slots.len()).rev() {
-                state = splitmix64(state);
-                let j = (state % (i as u64 + 1)) as usize;
-                arrivals.swap(slots[i], slots[j]);
-            }
-        }
-    }
-
-    /// Drains and returns `node`'s inbox in arrival order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn take_inbox(&mut self, node: NodeId) -> Vec<Delivered<M>> {
-        assert!(node.0 < self.n, "node out of range");
-        self.inboxes[node.0].drain(..).collect()
-    }
-
-    /// The traffic counters.
-    pub fn stats(&self) -> &NetworkStats {
-        &self.stats
-    }
-
-    /// The transport-level metrics: per-link `link_messages` /
-    /// `link_bytes`, the `delay_ticks` histogram of drawn delivery
-    /// latencies (observed at enqueue) and per-cause `drop_*` counters.
-    pub fn metrics(&self) -> &MetricsSnapshot {
-        &self.metrics
-    }
-
-    /// The fault schedule.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// The current tick number.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.n
-    }
-
-    /// `true` when nothing is held in flight and every inbox is drained.
-    pub fn is_quiescent(&self) -> bool {
-        self.holding.is_empty() && self.inboxes.iter().all(VecDeque::is_empty)
-    }
-
-    /// The earliest tick at which the transport can matter to a
-    /// scheduler tick: *now* while any inbox holds undrained
-    /// deliveries, otherwise the earliest held message's due tick
-    /// (every held `due` exceeds the current round — [`DelayTransport::step`]
-    /// already delivered everything at or before it), `None` when
-    /// quiescent.
-    pub fn next_due(&self) -> Option<u64> {
-        if self.inboxes.iter().any(|q| !q.is_empty()) {
-            return Some(self.round);
-        }
-        self.holding.iter().map(|msg| msg.due).min()
-    }
-
-    /// Fast-forwards to tick `target` exactly as repeated
-    /// [`DelayTransport::step`] calls would. Stretches with no due
-    /// arrivals collapse into a constant-time round/statistics jump;
-    /// every round on which something falls due runs a real `step`, so
-    /// delivery order, the round-seeded inbox shuffle and the
-    /// loss-attribution chain are all bit-identical to stepping.
-    pub fn advance_to(&mut self, target: u64) -> u64 {
-        let mut delivered = 0;
-        while self.round < target {
-            match self.holding.iter().map(|msg| msg.due).min() {
-                Some(due) => {
-                    // A message due at tick `d` is moved by the step
-                    // taken at round `d − 1`; rounds before that are
-                    // dead air.
-                    let idle_until = due.saturating_sub(1).min(target);
-                    if self.round < idle_until {
-                        self.stats.rounds += idle_until - self.round;
-                        self.round = idle_until;
-                    }
-                    if self.round < target {
-                        delivered += self.step();
-                    }
-                }
-                None => {
-                    self.stats.rounds += target - self.round;
-                    self.round = target;
-                }
-            }
-        }
-        delivered
-    }
-}
-
-impl<M: Payload + Clone> Transport<M> for DelayTransport<M> {
-    fn nodes(&self) -> usize {
-        DelayTransport::nodes(self)
-    }
-
-    fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
-        DelayTransport::send(self, from, to, payload);
-    }
-
-    fn broadcast(&mut self, from: NodeId, payload: M) {
-        DelayTransport::broadcast(self, from, payload);
-    }
-
-    fn take_inbox(&mut self, node: NodeId) -> Vec<Delivered<M>> {
-        DelayTransport::take_inbox(self, node)
-    }
-
-    fn step(&mut self) -> u64 {
-        DelayTransport::step(self)
-    }
-
-    fn round(&self) -> u64 {
-        DelayTransport::round(self)
-    }
-
-    fn stats(&self) -> &NetworkStats {
-        DelayTransport::stats(self)
-    }
-
-    fn metrics(&self) -> &MetricsSnapshot {
-        DelayTransport::metrics(self)
-    }
-
-    fn faults(&self) -> &FaultPlan {
-        DelayTransport::faults(self)
-    }
-
-    fn is_quiescent(&self) -> bool {
-        DelayTransport::is_quiescent(self)
-    }
-
-    fn next_due(&self) -> Option<u64> {
-        DelayTransport::next_due(self)
-    }
-
-    fn advance_to(&mut self, target: u64) -> u64 {
-        DelayTransport::advance_to(self, target)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
+    use crate::network::{Network, NodeId, Payload};
+    use crate::transport::Transport;
 
     #[test]
     fn synchronous_profile_delivers_next_tick_like_lockstep() {
-        let mut net: DelayTransport<u64> = DelayTransport::new(3, DelayProfile::synchronous());
+        let mut net: Network<u64> = Network::new(3).with_delay(DelayProfile::synchronous());
         net.send(NodeId(0), NodeId(1), 42);
         net.broadcast(NodeId(2), 7);
         assert!(!net.is_quiescent());
@@ -446,7 +81,7 @@ mod tests {
 
     #[test]
     fn fixed_delay_holds_messages_for_base_extra_ticks() {
-        let mut net: DelayTransport<u64> = DelayTransport::new(2, DelayProfile::fixed(2));
+        let mut net: Network<u64> = Network::new(2).with_delay(DelayProfile::fixed(2));
         net.send(NodeId(0), NodeId(1), 5);
         assert_eq!(net.step(), 0, "tick 1: still held");
         assert_eq!(net.step(), 0, "tick 2: still held");
@@ -458,8 +93,7 @@ mod tests {
     #[test]
     fn per_link_schedule_adds_to_the_profile() {
         let plan = FaultPlan::none(3).delay_link(NodeId(0), NodeId(1), 2);
-        let mut net: DelayTransport<u64> =
-            DelayTransport::with_faults(3, plan, DelayProfile::synchronous());
+        let mut net: Network<u64> = Network::with_faults(3, plan);
         net.send(NodeId(0), NodeId(1), 1); // delayed link: due at tick 3
         net.send(NodeId(0), NodeId(2), 2); // plain link: due at tick 1
         net.step();
@@ -474,7 +108,7 @@ mod tests {
     fn jitter_is_bounded_and_replayable() {
         let profile = DelayProfile::jittered(1, 3, 99);
         let run = |profile: DelayProfile| {
-            let mut net: DelayTransport<u64> = DelayTransport::new(2, profile);
+            let mut net: Network<u64> = Network::new(2).with_delay(profile);
             for k in 0..20 {
                 net.send(NodeId(0), NodeId(1), k);
             }
@@ -504,9 +138,8 @@ mod tests {
 
     #[test]
     fn inbox_shuffle_permutes_within_a_recipient_only() {
-        let mut plain: DelayTransport<u64> = DelayTransport::new(3, DelayProfile::synchronous());
-        let mut shuffled: DelayTransport<u64> =
-            DelayTransport::new(3, DelayProfile::synchronous()).with_inbox_shuffle(7);
+        let mut plain: Network<u64> = Network::new(3);
+        let mut shuffled: Network<u64> = Network::new(3).with_inbox_shuffle(7);
         for net in [&mut plain, &mut shuffled] {
             for k in 0..8 {
                 net.send(NodeId(0), NodeId(1), k);
@@ -539,20 +172,17 @@ mod tests {
     }
 
     /// Regression test for the periodic-drop drift bug: the drop
-    /// schedule used to advance per *delivered* message inside
-    /// [`DelayTransport::step`], so jitter (which permutes delivery
-    /// order relative to enqueue order) made the same [`FaultPlan`]
-    /// drop different logical messages than the lockstep transport.
-    /// Pinning the schedule to the enqueue-time sequence number makes
-    /// the selected set transport-invariant.
+    /// schedule once advanced per *delivered* message, so jitter (which
+    /// permutes delivery order relative to enqueue order) made the same
+    /// [`FaultPlan`] drop different logical messages than synchronous
+    /// delivery. Pinning the schedule to the enqueue-time sequence
+    /// number makes the selected set profile-invariant.
     #[test]
     fn periodic_drops_select_the_same_messages_as_lockstep_under_jitter() {
-        use crate::network::Network;
-
         let n = 4;
         let ticks = 4u64;
         let surviving = |net: &mut dyn FnMut(NodeId, NodeId, u64)| {
-            // Same traffic pattern on every transport: each tick, every
+            // Same traffic pattern on every profile: each tick, every
             // ordered pair exchanges one uniquely-numbered message.
             let mut payload = 0;
             for _ in 0..ticks {
@@ -587,11 +217,8 @@ mod tests {
             .collect();
         lockstep_delivered.sort_unstable();
 
-        let mut delayed: DelayTransport<u64> = DelayTransport::with_faults(
-            n,
-            FaultPlan::none(n).drop_every(3),
-            DelayProfile::jittered(0, 3, 0xBEEF),
-        );
+        let mut delayed: Network<u64> = Network::with_faults(n, FaultPlan::none(n).drop_every(3))
+            .with_delay(DelayProfile::jittered(0, 3, 0xBEEF));
         {
             let mut sends = 0;
             let mut send = |from, to, p| {
@@ -619,7 +246,7 @@ mod tests {
 
         assert_eq!(
             jitter_delivered, lockstep_delivered,
-            "a fault plan must drop the same logical messages on every transport"
+            "a fault plan must drop the same logical messages on every profile"
         );
         assert_eq!(delayed.stats().dropped, lockstep.stats().dropped);
     }
@@ -627,8 +254,8 @@ mod tests {
     #[test]
     fn next_due_reports_inboxes_then_earliest_held_due() {
         let plan = FaultPlan::none(3).delay_link(NodeId(0), NodeId(2), 4);
-        let mut net: DelayTransport<u64> =
-            DelayTransport::with_faults(3, plan, DelayProfile::fixed(1));
+        let mut net: Network<u64> =
+            Network::with_faults(3, plan).with_delay(DelayProfile::fixed(1));
         assert_eq!(net.next_due(), None);
         net.send(NodeId(0), NodeId(1), 1); // due at tick 2
         net.send(NodeId(0), NodeId(2), 2); // due at tick 6
@@ -648,13 +275,10 @@ mod tests {
     /// both of which read the round counter at delivery time.
     #[test]
     fn advance_to_matches_repeated_steps_with_jitter_shuffle_and_drops() {
-        let build = || -> DelayTransport<u64> {
-            DelayTransport::with_faults(
-                3,
-                FaultPlan::none(3).drop_every(4),
-                DelayProfile::jittered(1, 5, 0xABCD),
-            )
-            .with_inbox_shuffle(9)
+        let build = || -> Network<u64> {
+            Network::with_faults(3, FaultPlan::none(3).drop_every(4))
+                .with_delay(DelayProfile::jittered(1, 5, 0xABCD))
+                .with_inbox_shuffle(9)
         };
         let mut stepped = build();
         let mut jumped = build();
@@ -687,14 +311,14 @@ mod tests {
     #[test]
     fn in_flight_counts_messages_still_held_at_run_end() {
         let plan = FaultPlan::none(3).crash_at(NodeId(1), 2);
-        let mut net: DelayTransport<u64> =
-            DelayTransport::with_faults(3, plan, DelayProfile::fixed(4));
+        let mut net: Network<u64> =
+            Network::with_faults(3, plan).with_delay(DelayProfile::fixed(4));
         net.send(NodeId(0), NodeId(1), 1);
         net.send(NodeId(2), NodeId(1), 2);
         net.send(NodeId(0), NodeId(2), 3);
         net.step();
         net.step();
-        // "Run end": every message is still in `holding` (due tick 5).
+        // "Run end": every message is still in flight (due tick 5).
         assert!(!net.is_quiescent());
         assert_eq!(net.stats().delivered, 0);
         assert_eq!(net.stats().dropped, 0);
@@ -708,8 +332,8 @@ mod tests {
         let plan = FaultPlan::none(3)
             .crash_at(NodeId(1), 0)
             .drop_link(NodeId(0), NodeId(2));
-        let mut net: DelayTransport<u64> =
-            DelayTransport::with_faults(3, plan, DelayProfile::fixed(1));
+        let mut net: Network<u64> =
+            Network::with_faults(3, plan).with_delay(DelayProfile::fixed(1));
         net.send(NodeId(0), NodeId(1), 1); // recipient crashed
         net.send(NodeId(1), NodeId(2), 2); // sender crashed
         net.send(NodeId(0), NodeId(2), 3); // dropped link
@@ -730,8 +354,7 @@ mod tests {
         assert_eq!(h.counts.get(1), Some(&4));
     }
 
-    /// A toy payload marking odd values as control traffic, mirroring
-    /// the lockstep transport's ack-path tests.
+    /// A toy payload marking odd values as control traffic.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Frame(u64);
 
@@ -747,37 +370,22 @@ mod tests {
 
     #[test]
     fn ack_path_and_reorder_schedules_mirror_lockstep() {
-        use crate::network::Network;
-
-        // Both knobs at once on the synchronous profile: the delivered
-        // multisets and per-cause drop counters must match lockstep
-        // exactly, and the reordered message must land a tick late on
-        // both transports.
-        let plan = || FaultPlan::none(2).drop_acks_every(2).reorder_every(5);
-        let traffic: Vec<Frame> = (1..=10).map(Frame).collect();
-
-        let mut lockstep: Network<Frame> = Network::with_faults(2, plan());
-        let mut delayed: DelayTransport<Frame> =
-            DelayTransport::with_faults(2, plan(), DelayProfile::synchronous());
-        for f in &traffic {
-            lockstep.send(NodeId(0), NodeId(1), *f);
-            delayed.send(NodeId(0), NodeId(1), *f);
+        // Both knobs at once on the synchronous profile: the ack-path
+        // schedule drops only control frames, and the reordered
+        // messages land a tick late.
+        let plan = FaultPlan::none(2).drop_acks_every(2).reorder_every(5);
+        let mut net: Network<Frame> = Network::with_faults(2, plan);
+        for f in (1..=10).map(Frame) {
+            net.send(NodeId(0), NodeId(1), f);
         }
-        let collect = |by_tick: &mut Vec<(u64, u64)>, inbox: Vec<Delivered<Frame>>, tick: u64| {
-            for msg in inbox {
-                by_tick.push((tick, msg.payload.0));
-            }
-        };
-        let mut lockstep_seen = Vec::new();
-        let mut delayed_seen = Vec::new();
+        let mut seen = Vec::new();
         for tick in 1..=3u64 {
-            lockstep.step();
-            delayed.step();
-            collect(&mut lockstep_seen, lockstep.take_inbox(NodeId(1)), tick);
-            collect(&mut delayed_seen, delayed.take_inbox(NodeId(1)), tick);
+            net.step();
+            for msg in net.take_inbox(NodeId(1)) {
+                seen.push((tick, msg.payload.0));
+            }
         }
-        assert!(lockstep.is_quiescent() && delayed.is_quiescent());
-        assert_eq!(lockstep_seen, delayed_seen, "transports diverged");
+        assert!(net.is_quiescent());
         // Control slots: frames 1,3,5,7,9 → #1..#5; even slots drop
         // (frames 3, 7). Reorder slots: seqs 5 and 10 → Frames 5 and 10
         // land a tick late.
@@ -791,10 +399,10 @@ mod tests {
             (2, 5),
             (2, 10),
         ];
-        assert_eq!(lockstep_seen, expected);
-        assert_eq!(lockstep.metrics().counter_total("drop_ack_path"), 2);
-        assert_eq!(delayed.metrics().counter_total("drop_ack_path"), 2);
-        assert_eq!(lockstep.stats(), delayed.stats());
+        assert_eq!(seen, expected);
+        assert_eq!(net.metrics().counter_total("drop_ack_path"), 2);
+        assert_eq!(net.stats().dropped, 2);
+        assert_eq!(net.stats().delivered, 8);
     }
 
     #[test]
@@ -802,8 +410,7 @@ mod tests {
         use dmw_obs::Key;
 
         let plan = FaultPlan::none(2).reorder_every(3);
-        let mut net: DelayTransport<u64> =
-            DelayTransport::with_faults(2, plan, DelayProfile::synchronous());
+        let mut net: Network<u64> = Network::with_faults(2, plan);
         for k in 0..3 {
             net.send(NodeId(0), NodeId(1), k);
         }
@@ -821,8 +428,7 @@ mod tests {
         let plan = FaultPlan::none(3)
             .crash_at(NodeId(1), 0)
             .drop_link(NodeId(0), NodeId(2));
-        let mut net: DelayTransport<u64> =
-            DelayTransport::with_faults(3, plan, DelayProfile::synchronous());
+        let mut net: Network<u64> = Network::with_faults(3, plan);
         net.send(NodeId(0), NodeId(1), 1); // to crashed node
         net.send(NodeId(1), NodeId(2), 2); // from crashed node
         net.send(NodeId(0), NodeId(2), 3); // dropped link

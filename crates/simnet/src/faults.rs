@@ -52,8 +52,7 @@ struct LinkFlap {
     down: u64,
 }
 
-/// A declarative fault schedule applied by the [`crate::Transport`]
-/// implementations.
+/// A declarative fault schedule applied by the [`crate::Network`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// `crashes[i] = Some(r)` crashes node `i` at the *start* of round `r`:
@@ -65,12 +64,11 @@ pub struct FaultPlan {
     /// Drop every `k`-th transmitted message (deterministic lossy
     /// network; `None` = lossless).
     drop_every: Option<u64>,
-    /// Extra delivery delay, in rounds, for specific directed links —
-    /// honoured by [`crate::DelayTransport`] (the lockstep transport
-    /// models the paper's synchronous barriers and ignores it). Kept as a
-    /// sorted-insert-free `Vec` rather than a map: plans are tiny and a
-    /// linear probe keeps iteration order (and hence replay) trivially
-    /// deterministic.
+    /// Extra delivery delay, in rounds, for specific directed links,
+    /// added by the [`crate::Network`] on top of its delay profile
+    /// (synchronous by default). Kept as a sorted-insert-free `Vec`
+    /// rather than a map: plans are tiny and a linear probe keeps
+    /// iteration order (and hence replay) trivially deterministic.
     link_delays: Vec<(usize, usize, u64)>,
     /// Seeded Bernoulli loss as `(parts_per_million, seed)`: each
     /// transmission is dropped with probability `ppm / 1e6`, decided by
@@ -153,8 +151,8 @@ impl FaultPlan {
     /// Reorders every `k`-th transmission: it survives loss
     /// classification as usual but arrives one round later than its
     /// enqueue slot, behind messages sent after it. Keyed on the same
-    /// shared enqueue counter as [`FaultPlan::drop_every`], so both
-    /// transports displace the same logical messages.
+    /// shared enqueue counter as [`FaultPlan::drop_every`], so every
+    /// delay profile displaces the same logical messages.
     ///
     /// # Panics
     ///
@@ -173,7 +171,8 @@ impl FaultPlan {
 
     /// Drops each transmission independently with probability `p`,
     /// decided by a seeded hash of the message's enqueue sequence
-    /// number — the same logical messages are lost on every transport.
+    /// number — the same logical messages are lost under every delay
+    /// profile.
     /// `p` is quantized to parts-per-million so the plan stays `Eq` and
     /// byte-stable under serde.
     ///
@@ -345,7 +344,7 @@ impl FaultPlan {
     }
 
     /// Delays every message on the directed link `from → to` by an extra
-    /// `rounds` ticks beyond the transport's own latency. Scheduling the
+    /// `rounds` ticks beyond the network's own latency. Scheduling the
     /// same link twice keeps the later value.
     ///
     /// # Panics
@@ -379,7 +378,7 @@ impl FaultPlan {
 
     /// The effective extra delay for the directed link `from → to`
     /// (`0` when the plan has no entry) — the convenience form the
-    /// transports use.
+    /// network uses.
     pub fn link_delay_or_zero(&self, from: NodeId, to: NodeId) -> u64 {
         self.link_delay(from, to).unwrap_or(0)
     }

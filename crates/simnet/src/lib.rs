@@ -13,13 +13,13 @@
 //!   nor corrupted (Theorem 3 assumes the underlying network is obedient
 //!   — dishonest *content* is produced by deviating agents, not by the
 //!   network);
-//! * **delivery timing as a parameter**: the [`Transport`] trait
-//!   abstracts *when* an enqueued message becomes visible.
-//!   [`LockstepTransport`] keeps the paper's synchronous rounds with
-//!   implicit barriers (protocol step II.4, "agents implicitly
-//!   synchronize at this point"); [`DelayTransport`] holds each message
-//!   for a deterministic seeded per-link delay, modelling asynchrony
-//!   without giving up replayability;
+//! * **delivery timing as a parameter**: one [`Network`] implements the
+//!   [`Transport`] trait, which abstracts *when* an enqueued message
+//!   becomes visible. By default it keeps the paper's synchronous rounds
+//!   with implicit barriers (protocol step II.4, "agents implicitly
+//!   synchronize at this point"); an optional [`DelayProfile`] holds
+//!   each message for a deterministic seeded delay instead, modelling
+//!   asynchrony without giving up replayability;
 //! * **fault injection**: crash faults (an agent stops sending and
 //!   receiving), link drops and link delays, used by the resilience
 //!   ablation.
@@ -30,7 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use dmw_simnet::{Network, NodeId, Recipient};
+//! use dmw_simnet::{Network, NodeId, Transport};
 //!
 //! let mut net: Network<u64> = Network::new(3);
 //! net.send(NodeId(0), NodeId(1), 41);
@@ -49,7 +49,7 @@ pub mod network;
 pub mod stats;
 pub mod transport;
 
-pub use delay::{DelayProfile, DelayTransport};
+pub use delay::DelayProfile;
 pub use faults::FaultPlan;
 pub use network::{Delivered, LockstepTransport, Network, NodeId, Payload, Recipient};
 pub use stats::NetworkStats;

@@ -1,11 +1,13 @@
-//! The synchronous round-based network core.
+//! The simulated network: private point-to-point channels, broadcast as
+//! `n − 1` unicasts, and per-message delivery timing.
 
-use crate::faults::FaultPlan;
+use crate::delay::DelayProfile;
+use crate::faults::{splitmix64, FaultPlan};
 use crate::stats::NetworkStats;
 use crate::transport::Transport;
 use dmw_obs::{Key, MetricsSink, MetricsSnapshot, DELAY_TICK_BUCKETS};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Identifier of a network node (agent), `0`-based.
@@ -67,36 +69,13 @@ pub struct Delivered<M> {
     pub payload: M,
 }
 
-/// One queued transmission. `payload` is `None` when the sender was
-/// already crashed at the send tick: sender crash is the *first* check
-/// in the attribution chain and depends only on `(from, sent_round)`,
-/// both known at enqueue time, so the body is provably never delivered
-/// and storing a clone of it would be pure waste. At scheduler-scale
-/// sweeps (n = 1024, every node crashed) the per-recipient commitment
-/// clones of a single bidding broadcast would otherwise hold tens of
-/// gigabytes in flight. Accounting is untouched — the tombstone still
-/// occupies its enqueue-order slot, so periodic/probabilistic sequence
-/// numbers and every counter are bit-identical.
-#[derive(Debug, Clone)]
-struct InFlight<M> {
-    from: NodeId,
-    to: NodeId,
-    broadcast: bool,
-    /// Stamped from [`Payload::is_control`] at enqueue time, because the
-    /// tombstoned body is gone by the time the ack-path schedule needs
-    /// to know whether this transmission counts as control traffic.
-    control: bool,
-    payload: Option<M>,
-}
-
-/// Why a transmission was lost at delivery time. Variant order mirrors
-/// the checking precedence shared by both transports (sender crash
-/// before recipient crash, then permanent link drop, transient
-/// partition, flap, periodic schedule, and seeded probabilistic loss
-/// last), so per-cause metrics attribute each loss identically
-/// regardless of the timing model.
+/// Why a transmission was lost. Variant order mirrors the checking
+/// precedence of [`classify_loss`] (sender crash before recipient crash,
+/// then permanent link drop, transient partition, flap, periodic
+/// schedule, and seeded probabilistic loss last), so per-cause metrics
+/// attribute each loss identically regardless of the timing model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DropCause {
+enum DropCause {
     /// The sender was crashed at the tick it sent.
     SenderCrashed,
     /// The recipient was crashed when the message would have landed.
@@ -131,10 +110,9 @@ impl DropCause {
     }
 }
 
-/// The single fault-attribution chain both transports evaluate at
-/// delivery time. `seq` is the message's *enqueue-order* sequence
-/// number (1-based), which pins the periodic and probabilistic drop
-/// schedules to logical messages rather than delivery order — the
+/// The fault-attribution chain. `seq` is the message's *enqueue-order*
+/// sequence number (1-based), which pins the periodic and probabilistic
+/// drop schedules to logical messages rather than delivery order — the
 /// transport-invariance contract of
 /// [`FaultPlan::is_periodically_dropped`] and
 /// [`FaultPlan::is_probabilistically_dropped`]. The round-keyed
@@ -146,7 +124,7 @@ impl DropCause {
 /// [`Payload::is_control`]; the asymmetric ack-path schedule counts
 /// only those, so it thins acknowledgments at a fixed rate regardless
 /// of how much data shares the wire.
-pub(crate) fn classify_loss(
+fn classify_loss(
     faults: &FaultPlan,
     from: NodeId,
     to: NodeId,
@@ -178,8 +156,8 @@ pub(crate) fn classify_loss(
 
 /// Records the per-link counters and the delivery-delay histogram for
 /// one enqueued transmission. `delivery_ticks` is the logical latency
-/// the message was assigned (always `1` on the lockstep transport).
-pub(crate) fn record_enqueue(
+/// the message was assigned (`1` on the synchronous profile).
+fn record_enqueue(
     metrics: &mut MetricsSnapshot,
     from: NodeId,
     to: NodeId,
@@ -201,50 +179,66 @@ pub(crate) fn record_enqueue(
     );
 }
 
-/// Records one lost transmission under its attributed cause.
-pub(crate) fn record_drop(metrics: &mut MetricsSnapshot, cause: DropCause) {
-    metrics.incr(Key::named(cause.metric()), 1);
+/// The traffic falling due on one tick. A lost transmission leaves only
+/// its cause, so its payload is never stored (or, for a broadcast,
+/// cloned); survivors wait as `(recipient, delivery)` in enqueue order.
+#[derive(Debug)]
+struct Bucket<M> {
+    drops: Vec<DropCause>,
+    arrivals: Vec<(NodeId, Delivered<M>)>,
 }
 
-/// A synchronous network of `n` nodes with per-round delivery — the
-/// lockstep implementation of [`Transport`].
+impl<M> Default for Bucket<M> {
+    fn default() -> Self {
+        Bucket {
+            drops: Vec::new(),
+            arrivals: Vec::new(),
+        }
+    }
+}
+
+/// A network of `n` nodes — the simulator's [`Transport`].
 ///
-/// Messages enqueued during round `r` are delivered together when
-/// [`LockstepTransport::step`] is called, becoming visible in round
-/// `r + 1` — the implicit synchronization barrier of protocol step II.4.
+/// By default delivery is synchronous: everything sent in round `r`
+/// becomes visible in round `r + 1`, the implicit barrier of protocol
+/// step II.4. [`Network::with_delay`] holds each message for
+/// `1 + profile draw + per-link schedule` ticks instead, modelling
+/// asynchrony without giving up replayability, and
+/// [`Network::with_inbox_shuffle`] permutes same-tick arrivals per
+/// recipient.
+///
+/// A [`FaultPlan`] never changes during a run, so every input to the
+/// loss decision (send round, landing round, enqueue sequence numbers)
+/// is known at send time: each transmission is classified when it is
+/// enqueued and parked in the bucket of its due tick. Traffic counters
+/// follow one convention (`point_to_point`/`bytes` at enqueue,
+/// `delivered`/`dropped` on the due tick), so Theorem 11's cost
+/// accounting is the same under every timing model.
 #[derive(Debug)]
-pub struct LockstepTransport<M> {
+pub struct Network<M> {
     n: usize,
     round: u64,
-    pending: Vec<InFlight<M>>,
-    /// Surviving transmissions the deterministic reorder schedule
-    /// ([`FaultPlan::reorder_every`]) held back for one extra round.
-    /// They already consumed their enqueue-order sequence numbers when
-    /// first processed, so re-delivery never re-classifies them.
-    deferred: Vec<InFlight<M>>,
+    /// In-flight traffic keyed by due tick; every key exceeds `round`.
+    in_flight: BTreeMap<u64, Bucket<M>>,
     inboxes: Vec<VecDeque<Delivered<M>>>,
     stats: NetworkStats,
     metrics: MetricsSnapshot,
     faults: FaultPlan,
-    /// Running transmission counter for the periodic-drop schedule.
-    /// Lockstep delivery preserves enqueue order, so incrementing at
-    /// delivery assigns the same sequence numbers an enqueue-time stamp
-    /// would — the `DelayTransport` has to stamp at enqueue instead.
-    transmissions: u64,
-    /// Running counter of control transmissions only (acks, nacks),
-    /// feeding the asymmetric ack-path drop schedule. Incremented for
-    /// every control enqueue-slot — even ones lost to an earlier cause —
-    /// to match the `DelayTransport`'s enqueue-time stamping.
-    control_transmissions: u64,
+    profile: DelayProfile,
+    shuffle_seed: Option<u64>,
+    /// Enqueue-order sequence number of the latest transmission.
+    seq: u64,
+    /// Control-only enqueue counter feeding the ack-path drop schedule.
+    control_seq: u64,
 }
 
-/// Historical name of [`LockstepTransport`], kept as an alias: the
-/// synchronous network predates the [`Transport`] trait and most code
-/// (and the paper's own vocabulary) still says "the network".
-pub type Network<M> = LockstepTransport<M>;
+/// The synchronous [`Network`] under its former name, kept because the
+/// benchmark driver (`dmwbench/src/workload.rs`) builds its transport
+/// with `LockstepTransport::with_faults(n, plan)`.
+pub type LockstepTransport<M> = Network<M>;
 
-impl<M: Payload + Clone> LockstepTransport<M> {
-    /// Creates a fault-free network of `n` nodes.
+impl<M: Payload + Clone> Network<M> {
+    /// Creates a fault-free synchronous network of `n` nodes.
     ///
     /// # Panics
     ///
@@ -253,296 +247,233 @@ impl<M: Payload + Clone> LockstepTransport<M> {
         Self::with_faults(n, FaultPlan::none(n))
     }
 
-    /// Creates a network with a fault schedule.
+    /// Creates a synchronous network with a fault schedule (whose
+    /// [`FaultPlan::link_delay`] entries add to the delivery latency).
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn with_faults(n: usize, faults: FaultPlan) -> Self {
         assert!(n > 0, "network needs at least one node");
-        LockstepTransport {
+        Network {
             n,
             round: 0,
-            pending: Vec::new(),
-            deferred: Vec::new(),
+            in_flight: BTreeMap::new(),
             inboxes: (0..n).map(|_| VecDeque::new()).collect(),
             stats: NetworkStats::default(),
             metrics: MetricsSnapshot::default(),
             faults,
-            transmissions: 0,
-            control_transmissions: 0,
+            profile: DelayProfile::synchronous(),
+            shuffle_seed: None,
+            seq: 0,
+            control_seq: 0,
         }
     }
 
-    /// The enqueue-order sequence number the *next* enqueued message
-    /// will be assigned at delivery time, so enqueue-time accounting
-    /// (the reorder-aware `delay_ticks` histogram) can consult the
-    /// sequence-keyed schedules before the counter itself advances.
-    fn next_seq(&self) -> u64 {
-        self.transmissions + self.pending.len() as u64 + 1
+    /// Replaces synchronous delivery with the latency model `profile`.
+    pub fn with_delay(mut self, profile: DelayProfile) -> Self {
+        self.profile = profile;
+        self
     }
 
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
+    /// Additionally permutes each recipient's same-tick arrivals with a
+    /// seeded Fisher–Yates shuffle — delivery-order fuzzing that stays
+    /// bit-replayable.
+    pub fn with_inbox_shuffle(mut self, seed: u64) -> Self {
+        self.shuffle_seed = Some(seed);
+        self
+    }
+
+    /// Counts, times and classifies one transmission. Returns its due
+    /// tick when it survives; a lost one is tallied in its due bucket
+    /// and `None` tells the caller not to store (or clone) the payload.
+    fn admit(&mut self, from: NodeId, to: NodeId, bytes: u64, control: bool) -> Option<u64> {
+        self.stats.point_to_point += 1;
+        self.stats.bytes += bytes;
+        self.seq += 1;
+        let control_seq = control.then(|| {
+            self.control_seq += 1;
+            self.control_seq
+        });
+        let delay = self.profile.draw(self.seq) + self.faults.link_delay_or_zero(from, to);
+        let reorder = u64::from(self.faults.is_reordered(self.seq));
+        record_enqueue(&mut self.metrics, from, to, bytes, 1 + delay + reorder);
+        let due = self.round + 1 + delay + reorder;
+        // Loss is judged at the landing round the message would have met
+        // without the reorder penalty.
+        let landing = self.round + delay;
+        let cause = classify_loss(
+            &self.faults,
+            from,
+            to,
+            self.round,
+            landing,
+            self.seq,
+            control_seq,
+        );
+        match cause {
+            Some(cause) => {
+                self.bucket(due).drops.push(cause);
+                None
+            }
+            None => Some(due),
+        }
+    }
+
+    fn bucket(&mut self, due: u64) -> &mut Bucket<M> {
+        self.in_flight.entry(due).or_default()
+    }
+}
+
+impl<M: Payload + Clone> Transport<M> for Network<M> {
+    fn nodes(&self) -> usize {
         self.n
     }
 
-    /// The current round number.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The traffic counters.
-    pub fn stats(&self) -> &NetworkStats {
-        &self.stats
-    }
-
-    /// The transport-level metrics: per-link `link_messages` /
-    /// `link_bytes`, the `delay_ticks` histogram (always the one-tick
-    /// bucket on this transport) and per-cause `drop_*` counters.
-    pub fn metrics(&self) -> &MetricsSnapshot {
-        &self.metrics
-    }
-
-    /// The fault schedule.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// Is `node` crashed in the current round?
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.faults.is_crashed(node, self.round)
-    }
-
-    /// Sends a private point-to-point message, delivered at the next
-    /// [`LockstepTransport::step`]. Messages from or to crashed nodes are counted as
-    /// sent but will be dropped at delivery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range or `from == to` (the protocol
-    /// never self-sends; local state is kept locally).
-    pub fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
+    fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
         assert!(from.0 < self.n && to.0 < self.n, "node out of range");
         assert_ne!(from, to, "self-sends are local state, not messages");
-        self.stats.point_to_point += 1;
-        self.stats.bytes += payload.size_bytes() as u64;
-        let ticks = 1 + u64::from(self.faults.is_reordered(self.next_seq()));
-        record_enqueue(
-            &mut self.metrics,
-            from,
-            to,
-            payload.size_bytes() as u64,
-            ticks,
-        );
-        let doomed = self.faults.is_crashed(from, self.round);
-        self.pending.push(InFlight {
-            from,
-            to,
-            broadcast: false,
-            control: payload.is_control(),
-            payload: (!doomed).then_some(payload),
-        });
+        let bytes = payload.size_bytes() as u64;
+        if let Some(due) = self.admit(from, to, bytes, payload.is_control()) {
+            let delivery = Delivered {
+                from,
+                broadcast: false,
+                payload,
+            };
+            self.bucket(due).arrivals.push((to, delivery));
+        }
     }
 
-    /// Publishes a message to every other node — `n − 1` point-to-point
-    /// transmissions, per the paper's cost model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is out of range.
-    pub fn broadcast(&mut self, from: NodeId, payload: M) {
+    /// Each of the `n − 1` transmissions gets its own delay draw and
+    /// loss decision; only survivors clone the payload.
+    fn broadcast(&mut self, from: NodeId, payload: M) {
         assert!(from.0 < self.n, "node out of range");
         self.stats.broadcasts += 1;
-        let doomed = self.faults.is_crashed(from, self.round);
+        let bytes = payload.size_bytes() as u64;
         let control = payload.is_control();
-        for to in 0..self.n {
-            if to == from.0 {
-                continue;
+        for to in (0..self.n).filter(|&to| to != from.0).map(NodeId) {
+            if let Some(due) = self.admit(from, to, bytes, control) {
+                let delivery = Delivered {
+                    from,
+                    broadcast: true,
+                    payload: payload.clone(),
+                };
+                self.bucket(due).arrivals.push((to, delivery));
             }
-            self.stats.point_to_point += 1;
-            self.stats.bytes += payload.size_bytes() as u64;
-            let ticks = 1 + u64::from(self.faults.is_reordered(self.next_seq()));
-            record_enqueue(
-                &mut self.metrics,
-                from,
-                NodeId(to),
-                payload.size_bytes() as u64,
-                ticks,
-            );
-            self.pending.push(InFlight {
-                from,
-                to: NodeId(to),
-                broadcast: true,
-                control,
-                payload: (!doomed).then(|| payload.clone()),
-            });
         }
     }
 
-    /// Delivers all pending traffic and advances to the next round.
-    /// Returns the number of messages delivered.
-    ///
-    /// Transmissions the reorder schedule selects survive classification
-    /// but sit out one extra round in `deferred`; each step delivers the
-    /// previous step's deferrals *first*, which is ascending
-    /// enqueue-sequence order — the same order the `DelayTransport`'s
-    /// due-time sort produces for a one-tick reorder penalty.
-    pub fn step(&mut self) -> u64 {
-        let mut delivered = 0;
-        for msg in std::mem::take(&mut self.deferred) {
-            self.inboxes[msg.to.0].push_back(Delivered {
-                from: msg.from,
-                broadcast: msg.broadcast,
-                payload: msg
-                    .payload
-                    .expect("only surviving transmissions are deferred"),
-            });
-            delivered += 1;
-        }
-        for msg in std::mem::take(&mut self.pending) {
-            self.transmissions += 1;
-            let control_seq = msg.control.then(|| {
-                self.control_transmissions += 1;
-                self.control_transmissions
-            });
-            if let Some(cause) = classify_loss(
-                &self.faults,
-                msg.from,
-                msg.to,
-                self.round,
-                self.round,
-                self.transmissions,
-                control_seq,
-            ) {
-                self.stats.dropped += 1;
-                record_drop(&mut self.metrics, cause);
-                continue;
-            }
-            if self.faults.is_reordered(self.transmissions) {
-                self.deferred.push(msg);
-                continue;
-            }
-            self.inboxes[msg.to.0].push_back(Delivered {
-                from: msg.from,
-                broadcast: msg.broadcast,
-                // A `None` payload means the sender was crashed at the
-                // send tick, which `classify_loss` reports as a drop
-                // above — a delivered tombstone is unreachable.
-                payload: msg
-                    .payload
-                    .expect("sender-crashed tombstones never deliver"),
-            });
-            delivered += 1;
-        }
-        self.stats.delivered += delivered;
-        self.stats.rounds += 1;
-        self.round += 1;
-        delivered
-    }
-
-    /// Drains and returns `node`'s inbox (messages delivered by previous
-    /// `step` calls, in arrival order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn take_inbox(&mut self, node: NodeId) -> Vec<Delivered<M>> {
+    fn take_inbox(&mut self, node: NodeId) -> Vec<Delivered<M>> {
         assert!(node.0 < self.n, "node out of range");
         self.inboxes[node.0].drain(..).collect()
     }
 
-    /// Number of messages waiting in `node`'s inbox without draining it.
-    pub fn inbox_len(&self, node: NodeId) -> usize {
-        self.inboxes[node.0].len()
-    }
-
-    /// `true` when no traffic is pending delivery and every inbox has
-    /// been drained — nothing the protocol could still react to.
-    pub fn is_quiescent(&self) -> bool {
-        self.pending.is_empty()
-            && self.deferred.is_empty()
-            && self.inboxes.iter().all(VecDeque::is_empty)
-    }
-
-    /// The earliest tick at which the network can matter to a scheduler
-    /// tick: on the lockstep transport every [`LockstepTransport::step`]
-    /// drains `pending` completely, so between ticks the only possible
-    /// activity is traffic already sitting in inboxes — due *now* — and
-    /// a quiescent network has no future event at all.
-    pub fn next_due(&self) -> Option<u64> {
-        if self.is_quiescent() {
-            None
-        } else {
-            Some(self.round)
-        }
-    }
-
-    /// Fast-forwards to tick `target` exactly as repeated
-    /// [`LockstepTransport::step`] calls would: real steps while traffic
-    /// is still in flight (at most two — one for pending, one more if
-    /// the reorder schedule deferred something), then a constant-time
-    /// round/statistics jump over the remaining dead air.
-    pub fn advance_to(&mut self, target: u64) -> u64 {
+    /// Pops the bucket due next tick: tallies its losses, then moves its
+    /// survivors into inboxes in enqueue order (unless shuffled).
+    fn step(&mut self) -> u64 {
+        let next = self.round + 1;
         let mut delivered = 0;
-        while (!self.pending.is_empty() || !self.deferred.is_empty()) && self.round < target {
-            delivered += self.step();
+        if let Some(Bucket {
+            drops,
+            mut arrivals,
+        }) = self.in_flight.remove(&next)
+        {
+            self.stats.dropped += drops.len() as u64;
+            for cause in drops {
+                self.metrics.incr(Key::named(cause.metric()), 1);
+            }
+            if let Some(seed) = self.shuffle_seed {
+                shuffle_per_recipient(&mut arrivals, self.n, seed, self.round);
+            }
+            delivered = arrivals.len() as u64;
+            for (to, delivery) in arrivals {
+                self.inboxes[to.0].push_back(delivery);
+            }
         }
-        if self.round < target {
-            self.stats.rounds += target - self.round;
-            self.round = target;
+        self.stats.delivered += delivered;
+        self.stats.rounds += 1;
+        self.round = next;
+        delivered
+    }
+
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    fn stats(&self) -> &NetworkStats {
+        &self.stats
+    }
+
+    fn metrics(&self) -> &MetricsSnapshot {
+        &self.metrics
+    }
+
+    fn faults(&self) -> &FaultPlan {
+        &self.faults
+    }
+
+    fn is_quiescent(&self) -> bool {
+        self.in_flight.is_empty() && self.inboxes.iter().all(VecDeque::is_empty)
+    }
+
+    /// *Now* while any inbox holds undrained deliveries, otherwise the
+    /// earliest due tick (every key exceeds the current round — `step`
+    /// already popped everything at or before it), `None` when
+    /// quiescent.
+    fn next_due(&self) -> Option<u64> {
+        if self.inboxes.iter().any(|q| !q.is_empty()) {
+            return Some(self.round);
+        }
+        self.in_flight.keys().next().copied()
+    }
+
+    /// Stretches with nothing due collapse into a constant-time
+    /// round/statistics jump; every round on which something falls due
+    /// runs a real `step`, so delivery order, the round-seeded inbox
+    /// shuffle and the loss tallies are bit-identical to stepping.
+    fn advance_to(&mut self, target: u64) -> u64 {
+        let mut delivered = 0;
+        while self.round < target {
+            // A bucket due at tick `d` is popped by the step taken at
+            // round `d − 1`; rounds before that are dead air.
+            let idle_until = match self.in_flight.keys().next() {
+                Some(&due) => (due - 1).min(target),
+                None => target,
+            };
+            self.stats.rounds += idle_until - self.round;
+            self.round = idle_until;
+            if self.round < target {
+                delivered += self.step();
+            }
         }
         delivered
     }
 }
 
-impl<M: Payload + Clone> Transport<M> for LockstepTransport<M> {
-    fn nodes(&self) -> usize {
-        LockstepTransport::nodes(self)
+/// Seeded Fisher–Yates over each recipient's slots among one tick's
+/// arrivals. Only positions belonging to the same recipient swap, so
+/// cross-recipient structure is untouched. Slots are grouped in one
+/// pass, keeping a step linear in its arrivals.
+fn shuffle_per_recipient<M>(
+    arrivals: &mut [(NodeId, Delivered<M>)],
+    n: usize,
+    seed: u64,
+    round: u64,
+) {
+    let mut slots: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, (to, _)) in arrivals.iter().enumerate() {
+        slots[to.0].push(i);
     }
-
-    fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
-        LockstepTransport::send(self, from, to, payload);
-    }
-
-    fn broadcast(&mut self, from: NodeId, payload: M) {
-        LockstepTransport::broadcast(self, from, payload);
-    }
-
-    fn take_inbox(&mut self, node: NodeId) -> Vec<Delivered<M>> {
-        LockstepTransport::take_inbox(self, node)
-    }
-
-    fn step(&mut self) -> u64 {
-        LockstepTransport::step(self)
-    }
-
-    fn round(&self) -> u64 {
-        LockstepTransport::round(self)
-    }
-
-    fn stats(&self) -> &NetworkStats {
-        LockstepTransport::stats(self)
-    }
-
-    fn metrics(&self) -> &MetricsSnapshot {
-        LockstepTransport::metrics(self)
-    }
-
-    fn faults(&self) -> &FaultPlan {
-        LockstepTransport::faults(self)
-    }
-
-    fn is_quiescent(&self) -> bool {
-        LockstepTransport::is_quiescent(self)
-    }
-
-    fn next_due(&self) -> Option<u64> {
-        LockstepTransport::next_due(self)
-    }
-
-    fn advance_to(&mut self, target: u64) -> u64 {
-        LockstepTransport::advance_to(self, target)
+    for (node, slots) in slots.iter().enumerate() {
+        if slots.len() < 2 {
+            continue;
+        }
+        let mut state = splitmix64(seed ^ (round << 20) ^ node as u64);
+        for i in (1..slots.len()).rev() {
+            state = splitmix64(state);
+            let j = (state % (i as u64 + 1)) as usize;
+            arrivals.swap(slots[i], slots[j]);
+        }
     }
 }
 
@@ -554,7 +485,7 @@ mod tests {
     fn unicast_delivers_next_round() {
         let mut net: Network<u64> = Network::new(2);
         net.send(NodeId(0), NodeId(1), 42);
-        assert_eq!(net.inbox_len(NodeId(1)), 0, "not yet delivered");
+        assert!(net.take_inbox(NodeId(1)).is_empty(), "not yet delivered");
         assert!(!net.is_quiescent());
         assert_eq!(net.step(), 1);
         let inbox = net.take_inbox(NodeId(1));
@@ -671,18 +602,6 @@ mod tests {
         assert_eq!(net.stats().bytes, 24);
     }
 
-    #[test]
-    fn next_due_is_now_while_traffic_exists_and_none_when_quiescent() {
-        let mut net: Network<u64> = Network::new(2);
-        assert_eq!(net.next_due(), None);
-        net.send(NodeId(0), NodeId(1), 1);
-        assert_eq!(net.next_due(), Some(0), "pending traffic is due now");
-        net.step();
-        assert_eq!(net.next_due(), Some(1), "undrained inbox is due now");
-        net.take_inbox(NodeId(1));
-        assert_eq!(net.next_due(), None);
-    }
-
     /// A toy payload that marks odd values as control traffic, for the
     /// ack-path tests.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -796,5 +715,40 @@ mod tests {
         // At-or-before targets are no-ops.
         assert_eq!(jumped.advance_to(3), 0);
         assert_eq!(jumped.round(), 5);
+    }
+
+    /// A payload that counts its clones through a shared cell.
+    #[derive(Debug)]
+    struct CloneCounter(std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Clone for CloneCounter {
+        fn clone(&self) -> Self {
+            self.0.set(self.0.get() + 1);
+            CloneCounter(self.0.clone())
+        }
+    }
+
+    impl Payload for CloneCounter {
+        fn size_bytes(&self) -> usize {
+            8
+        }
+    }
+
+    #[test]
+    fn broadcast_from_a_crashed_sender_clones_nothing() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let plan = FaultPlan::none(4).crash_at(NodeId(1), 0);
+        let mut net: Network<CloneCounter> =
+            Network::with_faults(4, plan).with_delay(DelayProfile::fixed(2));
+        net.broadcast(NodeId(1), CloneCounter(clones.clone()));
+        assert_eq!(clones.get(), 0, "a doomed broadcast stores no copies");
+        assert_eq!(net.stats().point_to_point, 3, "still n − 1 sends");
+        assert_eq!(net.advance_to(3), 0);
+        assert_eq!(net.stats().dropped, 3, "tallied on the due tick");
+        assert!(net.is_quiescent());
+        // A live sender copies once per surviving recipient: nodes 2 and
+        // 3, but not the crashed node 1.
+        net.broadcast(NodeId(0), CloneCounter(clones.clone()));
+        assert_eq!(clones.get(), 2);
     }
 }

@@ -28,7 +28,7 @@ pub struct NetworkStats {
 
 impl NetworkStats {
     /// Messages still in flight (enqueued but neither delivered nor
-    /// dropped) — e.g. held past run end by a delay transport.
+    /// dropped) — e.g. held past run end by a delay profile.
     ///
     /// Delivered plus dropped can never exceed enqueued; if accounting
     /// ever drifts this debug-asserts rather than panicking on raw

@@ -23,6 +23,9 @@
 #      isolated so a recovery regression is named before the full suite
 #   7. cargo test                 -- full workspace suite (which re-runs
 #      dmw-lint as an integration test, so CI cannot skip it)
+#   7b. benchmark build + tests   -- dmwbench/ is its own workspace, so
+#      neither step 7 nor tier-1 compiles it; an API change the benchmark
+#      depends on (e.g. the `LockstepTransport` name) fails here
 #   8. bench_batch --smoke        -- the batch engine end-to-end on a tiny
 #      instance, exiting non-zero if thread counts disagree or the
 #      adaptive recovery layer exceeds its retransmission/duplicate
@@ -73,6 +76,9 @@ cargo test --quiet -p integration-tests --test recovery_determinism
 
 echo "==> cargo test (workspace)"
 cargo test --quiet --workspace
+
+echo "==> cargo test (benchmark, dmwbench/)"
+cargo test --release --offline --quiet --manifest-path dmwbench/Cargo.toml
 
 echo "==> bench_batch --smoke (recovery ceilings)"
 # The smoke instance is fully deterministic: the adaptive endpoint

@@ -152,14 +152,14 @@ fn every_tampering_deviation_is_still_detected_under_delay() {
         for behavior in deviations {
             let mut behaviors = vec![Behavior::Suggested; n];
             behaviors[1] = behavior;
-            let transport: dmw_simnet::DelayTransport<dmw::messages::Body> =
-                dmw_simnet::DelayTransport::new(n, profile);
+            let transport: dmw_simnet::Network<dmw::messages::Body> =
+                dmw_simnet::Network::new(n).with_delay(profile);
             let run = runner
                 .run_on(&truth, &behaviors, transport, &mut r)
                 .unwrap();
             if matches!(behavior, Behavior::InflatedPaymentClaim { .. }) {
                 // Outvoted at settlement rather than aborted, exactly as
-                // on the lockstep transport.
+                // under synchronous delivery.
                 let outcome = run.completed().unwrap();
                 assert!(!outcome.withheld[1], "honest majority outvotes the claim");
             } else {

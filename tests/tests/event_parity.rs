@@ -4,16 +4,16 @@
 //! [`dmw_simnet::NetworkStats`], the trace, the metrics snapshot — must
 //! be *bit-identical* except for the `events_processed` gauge that
 //! counts executed ticks. The sweep crosses honest, chaos and recovery
-//! (crash/degradation) runs with verify widths 1/2/8 on both the
-//! lockstep and the synchronous delay transport, and pins that the
-//! event engine actually skips idle ticks when a long retransmission
-//! backoff dominates the run (`docs/scheduler.md`).
+//! (crash/degradation) runs with verify widths 1/2/8 on the synchronous
+//! network, adds a jittered-delay run, and pins that the event engine
+//! actually skips idle ticks when a long retransmission backoff
+//! dominates the run (`docs/scheduler.md`).
 
 use dmw::reliable::RetryPolicy;
 use dmw::runner::{DmwRun, DmwRunner, Engine};
 use dmw::Behavior;
 use dmw_obs::Key;
-use dmw_simnet::{DelayProfile, DelayTransport, FaultPlan, NodeId};
+use dmw_simnet::{DelayProfile, FaultPlan, Network, NodeId};
 use integration_tests::{config, random_bids, rng};
 
 const SEED: u64 = 20260807;
@@ -92,42 +92,6 @@ fn lockstep_runs_are_bit_identical_between_engines() {
 }
 
 #[test]
-fn delay_transport_runs_are_bit_identical_between_engines() {
-    for (case, faults) in plans(6) {
-        for width in WIDTHS {
-            let mut r = rng(SEED ^ 0xDE1A);
-            let cfg = config(6, 1, &mut r);
-            let bids = random_bids(&cfg, 3, &mut r);
-            let behaviors = vec![Behavior::Suggested; 6];
-            let runner = DmwRunner::new(cfg)
-                .with_recovery()
-                .with_verify_threads(width);
-
-            let event = runner
-                .clone()
-                .with_engine(Engine::Event)
-                .run_on(
-                    &bids,
-                    &behaviors,
-                    DelayTransport::with_faults(6, faults.clone(), DelayProfile::synchronous()),
-                    &mut rng(SEED + 2),
-                )
-                .expect("valid event run");
-            let polling = runner
-                .with_engine(Engine::Polling)
-                .run_on(
-                    &bids,
-                    &behaviors,
-                    DelayTransport::with_faults(6, faults.clone(), DelayProfile::synchronous()),
-                    &mut rng(SEED + 2),
-                )
-                .expect("valid polling run");
-            assert_parity(&format!("{case}/w{width}/delay"), &event, &polling);
-        }
-    }
-}
-
-#[test]
 fn jittered_delay_runs_are_bit_identical_between_engines() {
     // Non-synchronous delays are where the event engine's
     // `Transport::next_due` fast-forwarding earns its keep: held
@@ -149,7 +113,7 @@ fn jittered_delay_runs_are_bit_identical_between_engines() {
         .run_on(
             &bids,
             &behaviors,
-            DelayTransport::with_faults(6, FaultPlan::none(6), profile.clone()),
+            Network::new(6).with_delay(profile),
             &mut rng(SEED + 3),
         )
         .expect("valid event run");
@@ -158,7 +122,7 @@ fn jittered_delay_runs_are_bit_identical_between_engines() {
         .run_on(
             &bids,
             &behaviors,
-            DelayTransport::with_faults(6, FaultPlan::none(6), profile),
+            Network::new(6).with_delay(profile),
             &mut rng(SEED + 3),
         )
         .expect("valid polling run");

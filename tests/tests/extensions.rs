@@ -10,7 +10,7 @@ use dmw::repeated::repeated_execution;
 use dmw::runner::DmwRunner;
 use dmw_crypto::polynomials::ShareBundle;
 use dmw_mechanism::{AgentId, MinWork, TieBreak};
-use dmw_simnet::Payload;
+use dmw_simnet::{Payload, Transport};
 use integration_tests::{config, random_bids, rng};
 use proptest::prelude::*;
 

@@ -172,12 +172,9 @@ fn crashes_before_bidding_are_tolerated_under_delay() {
     let plan = FaultPlan::none(n)
         .crash_at(NodeId(5), 0)
         .crash_at(NodeId(6), 0);
-    let transport: dmw_simnet::DelayTransport<dmw::messages::Body> =
-        dmw_simnet::DelayTransport::with_faults(
-            n,
-            plan,
-            dmw_simnet::DelayProfile::jittered(0, 2, 9),
-        );
+    let transport: dmw_simnet::Network<dmw::messages::Body> =
+        dmw_simnet::Network::with_faults(n, plan)
+            .with_delay(dmw_simnet::DelayProfile::jittered(0, 2, 9));
     let run = DmwRunner::new(cfg)
         .with_round_budget(200)
         .with_patience(8)
@@ -207,8 +204,8 @@ fn a_link_slower_than_the_patience_budget_reads_as_dropped() {
     let cfg = config(n, 1, &mut r);
     let bids = random_bids(&cfg, 1, &mut r);
     let plan = FaultPlan::none(n).delay_link(NodeId(0), NodeId(3), 50);
-    let transport: dmw_simnet::DelayTransport<dmw::messages::Body> =
-        dmw_simnet::DelayTransport::with_faults(n, plan, dmw_simnet::DelayProfile::synchronous());
+    let transport: dmw_simnet::Network<dmw::messages::Body> =
+        dmw_simnet::Network::with_faults(n, plan);
     let run = DmwRunner::new(cfg)
         .with_round_budget(100)
         .with_patience(4)

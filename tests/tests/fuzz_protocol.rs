@@ -7,12 +7,12 @@
 
 use dmw::runner::{utilities, DmwRunner};
 use dmw::Behavior;
-use dmw_simnet::{DelayProfile, DelayTransport, FaultPlan, NodeId};
+use dmw_simnet::{DelayProfile, FaultPlan, Network, NodeId};
 use integration_tests::{centralized_reference, config, random_bids, rng};
 use proptest::prelude::*;
 
-/// Runs one honest instance on the lockstep transport and again on a
-/// [`DelayTransport`] built from `profile` (optionally with per-recipient
+/// Runs one honest instance on the synchronous network and again on a
+/// [`Network`] delayed by `profile` (optionally with per-recipient
 /// inbox shuffling), asserting the delayed run completes with exactly the
 /// lockstep schedule and payments. Both runs replay the same RNG stream,
 /// so the committed bids and polynomials are identical — only delivery
@@ -34,7 +34,7 @@ fn assert_delay_matches_lockstep(seed: u64, profile: DelayProfile, shuffle: Opti
     // act up to `max_extra` ticks later than me, and its message may take
     // `max_extra` extra ticks on top of the one-tick baseline.
     let patience = 2 * profile.max_extra_delay() + 4;
-    let mut transport: DelayTransport<dmw::messages::Body> = DelayTransport::new(n, profile);
+    let mut transport: Network<dmw::messages::Body> = Network::new(n).with_delay(profile);
     if let Some(s) = shuffle {
         transport = transport.with_inbox_shuffle(s);
     }
