@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for the cryptographic primitives behind
 //! Table 1: share generation, commitment computation, share verification
-//! (equations (7)–(9)) and degree resolution (equation (12)).
+//! (equations (7)–(9)), the published `Λ`/`Ψ` check (equation (11)) and
+//! degree resolution (equation (12)).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmw_crypto::commitments::{verify_shares, Commitments};
 use dmw_crypto::polynomials::BidPolynomials;
-use dmw_crypto::resolution::{compute_lambda_psi, resolve_min_bid};
+use dmw_crypto::resolution::{compute_lambda_psi, resolve_min_bid, verify_lambda_psi};
 use dmw_crypto::BidEncoding;
 use dmw_modmath::{lagrange, Poly, SchnorrGroup};
 use rand::SeedableRng;
@@ -42,7 +43,7 @@ fn bench_polynomials(c: &mut Criterion) {
 
 fn bench_protocol_primitives(c: &mut Criterion) {
     let mut bench = c.benchmark_group("protocol-primitives");
-    for n in [4usize, 8, 16] {
+    for n in [4usize, 8, 16, 32] {
         let mut r = rng();
         let group = SchnorrGroup::generate(48, 24, &mut r).unwrap();
         let encoding = BidEncoding::new(n, 1).unwrap();
@@ -61,21 +62,31 @@ fn bench_protocol_primitives(c: &mut Criterion) {
         bench.bench_with_input(BenchmarkId::new("verify_shares", n), &n, |b, _| {
             b.iter(|| verify_shares(&group, &commitments, alphas[0], &bundle).unwrap())
         });
-        // Degree resolution over n published lambdas.
+        // Equation (11) and degree resolution over n published pairs.
         let all: Vec<BidPolynomials> = (0..n)
             .map(|i| {
                 let b = 1 + (i as u64 % encoding.w_max());
                 BidPolynomials::generate(&group, &encoding, b, &mut r).unwrap()
             })
             .collect();
-        let lambdas: Vec<u64> = alphas
+        let all_commitments: Vec<Commitments> = all
+            .iter()
+            .map(|p| Commitments::commit(&group, &encoding, p))
+            .collect();
+        let pairs: Vec<_> = alphas
             .iter()
             .map(|&a| {
                 let e: Vec<u64> = all.iter().map(|p| p.e().eval(&zq, a)).collect();
                 let h: Vec<u64> = all.iter().map(|p| p.h().eval(&zq, a)).collect();
-                compute_lambda_psi(&group, &e, &h).lambda
+                compute_lambda_psi(&group, &e, &h)
             })
             .collect();
+        bench.bench_with_input(BenchmarkId::new("verify_lambda_psi", n), &n, |b, _| {
+            b.iter(|| {
+                verify_lambda_psi(&group, &all_commitments, 0, alphas[0], &pairs[0], None).unwrap()
+            })
+        });
+        let lambdas: Vec<u64> = pairs.iter().map(|p| p.lambda).collect();
         bench.bench_with_input(BenchmarkId::new("resolve_min_bid", n), &n, |b, _| {
             b.iter(|| resolve_min_bid(&group, &encoding, &alphas, &lambdas).unwrap())
         });

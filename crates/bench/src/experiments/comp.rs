@@ -75,7 +75,7 @@ pub fn run(seed: u64) -> Report {
     let (m, p_bits) = (2usize, 48u32);
     let mut rows = Vec::new();
     let mut points = Vec::new();
-    for &n in &[4usize, 6, 8, 12, 16, 24, 32, 48] {
+    for &n in &[4usize, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128] {
         let cell = measure(n, c, m, p_bits, seed + n as u64);
         points.push((n as f64, cell.dmw_per_agent as f64));
         let model = (m * n * n) as f64 * (p_bits as f64);

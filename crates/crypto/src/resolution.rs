@@ -16,11 +16,34 @@
 //! testing `Π_k Λ_k^{ρ_k} = 1` over candidate degrees (equation (12)) —
 //! `z1` has order `q`, so the product is 1 exactly when the plain Lagrange
 //! interpolation of `E` at zero vanishes mod `q`.
+//!
+//! # Cost
+//!
+//! Equation (12) scans the candidate degrees in ascending order, so it
+//! needs the coefficient vector `ρ^(s)` of every point prefix `s`.
+//! [`resolve_min_bid`] walks one [`lagrange::PrefixCoefficients`] builder
+//! (≈ 4s multiplications and one inversion per step) and tests each
+//! candidate with one multi-exponentiation, `≈ σ²(2 + log q / 4)`
+//! multiplications per resolution instead of the `Θ(σ³)` of recomputing
+//! every prefix from scratch.
+//!
+//! Equations (11) and (13) multiply `n` evaluations that all use the
+//! exponents `α^ℓ`, so [`verify_lambda_psi`] and [`verify_f_disclosure`]
+//! multiply the `Q` (resp. `R`) vectors entry-wise and evaluate the
+//! aggregate once: `n·σ` multiplications plus one `σ`-base
+//! multi-exponentiation. The compared value is the same group element, so
+//! the check is the same equality, not a batched or probabilistic one.
+//! Share verification (equations (7)–(9)) stays per dealer: there, summing
+//! across dealers would let one dealer's error cancel another's.
+//!
+//! Published `Λ`/`Ψ` values come from the wire, so [`verify_lambda_psi`],
+//! [`resolve_min_bid`] and [`verify_f_disclosure`] reject a non-canonical
+//! element (`≥ p`) before doing arithmetic on it.
 
 use crate::commitments::Commitments;
 use crate::encoding::BidEncoding;
 use crate::error::CryptoError;
-use dmw_modmath::{lagrange, SchnorrGroup};
+use dmw_modmath::{lagrange, multiexp, SchnorrGroup};
 use serde::{Deserialize, Serialize};
 
 /// A published `(Λ_i, Ψ_i)` pair (equation (10)).
@@ -53,7 +76,8 @@ pub fn compute_lambda_psi(group: &SchnorrGroup, e_shares: &[u64], h_shares: &[u6
 ///
 /// # Errors
 ///
-/// Returns [`CryptoError::LambdaPsiInvalid`] when the identity fails.
+/// Returns [`CryptoError::LambdaPsiInvalid`] when `Λ_i` or `Ψ_i` is not a
+/// canonical element of `Z_p`, or the identity fails.
 pub fn verify_lambda_psi(
     group: &SchnorrGroup,
     all_commitments: &[Commitments],
@@ -63,13 +87,15 @@ pub fn verify_lambda_psi(
     excluded: Option<usize>,
 ) -> Result<(), CryptoError> {
     let zp = group.zp();
-    let mut gamma_product = 1u64;
-    for (l, commitments) in all_commitments.iter().enumerate() {
-        if excluded == Some(l) {
-            continue;
-        }
-        gamma_product = zp.mul(gamma_product, commitments.gamma(group, alpha_i));
+    if !zp.contains(pair.lambda) || !zp.contains(pair.psi) {
+        return Err(CryptoError::LambdaPsiInvalid { agent });
     }
+    let included_q = all_commitments
+        .iter()
+        .enumerate()
+        .filter(|&(l, _)| excluded != Some(l))
+        .map(|(_, commitments)| commitments.q());
+    let gamma_product = Commitments::eval_product(group, included_q, alpha_i);
     if gamma_product != zp.mul(pair.lambda, pair.psi) {
         return Err(CryptoError::LambdaPsiInvalid { agent });
     }
@@ -94,15 +120,19 @@ pub struct ResolvedPrice {
 /// from `w_max`) and for each candidate `d` tests whether
 /// `Π_{k=1}^{d+1} Λ_k^{ρ_k} = 1`, where `ρ_k` are the Lagrange-at-zero
 /// coefficients mod `q` of the first `d + 1` pseudonyms. The first success
-/// gives `deg E` and hence the minimum bid `y* = σ − deg E`.
+/// gives `deg E` and hence the minimum bid `y* = σ − deg E`. The `ρ^(d+1)`
+/// come from one incremental [`lagrange::PrefixCoefficients`] walk (see
+/// the module docs for the cost).
 ///
 /// # Errors
 ///
 /// * [`CryptoError::LengthMismatch`] if `lambdas` and `alphas` differ in
 ///   length;
-/// * [`CryptoError::ResolutionFailed`] if no candidate resolves — under
-///   honest execution this can only happen with probability `≈ |W|/q`, so
-///   it indicates a protocol violation (Theorem 4's `τ* = n` case).
+/// * [`CryptoError::ResolutionFailed`] if a `Λ` is not a canonical element
+///   of `Z_p`, a scanned pseudonym prefix is invalid, or no candidate
+///   resolves — under honest execution the last can only happen with
+///   probability `≈ |W|/q`, so it indicates a protocol violation (Theorem
+///   4's `τ* = n` case).
 pub fn resolve_min_bid(
     group: &SchnorrGroup,
     encoding: &BidEncoding,
@@ -116,20 +146,20 @@ pub fn resolve_min_bid(
             expected: alphas.len(),
         });
     }
-    let zq = group.zq();
     let zp = group.zp();
+    if !lambdas.iter().all(|&lam| zp.contains(lam)) {
+        return Err(CryptoError::ResolutionFailed);
+    }
+    let mut prefix = lagrange::PrefixCoefficients::new(&group.zq());
     for degree in encoding.candidate_degrees() {
         let s = degree + 1;
         let (Some(alpha_head), Some(lambda_head)) = (alphas.get(..s), lambdas.get(..s)) else {
             break;
         };
-        let rho = lagrange::zero_coefficients(&zq, alpha_head)
+        let rho = prefix
+            .extend_to(alpha_head)
             .map_err(|_| CryptoError::ResolutionFailed)?;
-        let mut product = 1u64;
-        for (&lam, &r) in lambda_head.iter().zip(&rho) {
-            product = zp.mul(product, zp.pow(lam, r));
-        }
-        if product == 1 {
+        if multiexp::multi_pow(&zp, lambda_head, rho) == 1 {
             let bid = encoding
                 .bid_of_degree(degree)
                 .ok_or(CryptoError::ResolutionFailed)?;
@@ -179,8 +209,12 @@ pub fn verify_claimed_f_point(
 ///
 /// # Errors
 ///
-/// Returns [`CryptoError::DisclosureInvalid`] when the aggregate identity
-/// fails (some disclosed value was tampered with).
+/// * [`CryptoError::LengthMismatch`] when `disclosed_f` does not hold one
+///   value per commitment triple;
+/// * [`CryptoError::DisclosureInvalid`] when `psi_k` is not a canonical
+///   element of `Z_p`, a disclosed value is not a canonical element of
+///   `Z_q`, or the aggregate identity fails (some disclosed value was
+///   tampered with).
 pub fn verify_f_disclosure(
     group: &SchnorrGroup,
     all_commitments: &[Commitments],
@@ -198,12 +232,13 @@ pub fn verify_f_disclosure(
     }
     let zq = group.zq();
     let zp = group.zp();
+    if !zp.contains(psi_k) || !disclosed_f.iter().all(|&v| zq.contains(v)) {
+        return Err(CryptoError::DisclosureInvalid { point: point_index });
+    }
     let f_sum = disclosed_f.iter().fold(0u64, |acc, &v| zq.add(acc, v));
     let lhs = zp.mul(group.pow_z1(f_sum), psi_k);
-    let mut phi_product = 1u64;
-    for commitments in all_commitments {
-        phi_product = zp.mul(phi_product, commitments.phi(group, alpha_k));
-    }
+    let phi_product =
+        Commitments::eval_product(group, all_commitments.iter().map(|c| c.r()), alpha_k);
     if lhs != phi_product {
         return Err(CryptoError::DisclosureInvalid { point: point_index });
     }
@@ -297,7 +332,9 @@ pub fn exclude_winner(
 mod tests {
     use super::*;
     use crate::polynomials::BidPolynomials;
-    use rand::SeedableRng;
+    use dmw_modmath::ops;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     struct Setup {
         group: SchnorrGroup,
@@ -310,8 +347,12 @@ mod tests {
 
     /// Builds a fully honest auction state for the given bids.
     fn setup(bids: &[u64], seed: u64) -> Setup {
+        setup_with_group(bids, seed, 40, 16)
+    }
+
+    fn setup_with_group(bids: &[u64], seed: u64, p_bits: u32, q_bits: u32) -> Setup {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let group = SchnorrGroup::generate(40, 16, &mut rng).unwrap();
+        let group = SchnorrGroup::generate(p_bits, q_bits, &mut rng).unwrap();
         let n = bids.len();
         let encoding = BidEncoding::new(n, 1).unwrap();
         let zq = group.zq();
@@ -539,5 +580,243 @@ mod tests {
             .collect();
         let r = resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas).unwrap();
         assert_eq!(r.bid, 1);
+    }
+
+    #[test]
+    fn non_canonical_published_values_are_rejected_not_panicked_on() {
+        // `Λ + p` is congruent to the honest `Λ`; it must be rejected as
+        // malformed before it reaches the field arithmetic.
+        let s = setup(&[3, 1, 2, 4, 2, 3], 18);
+        let p = s.group.p();
+        let honest = s.pairs[2];
+        for bad in [
+            LambdaPsi {
+                lambda: honest.lambda + p,
+                ..honest
+            },
+            LambdaPsi {
+                psi: honest.psi + p,
+                ..honest
+            },
+            LambdaPsi {
+                lambda: u64::MAX,
+                ..honest
+            },
+        ] {
+            assert_eq!(
+                verify_lambda_psi(&s.group, &s.commitments, 2, s.alphas[2], &bad, None),
+                Err(CryptoError::LambdaPsiInvalid { agent: 2 })
+            );
+        }
+        let mut lambdas: Vec<u64> = s.pairs.iter().map(|p| p.lambda).collect();
+        lambdas[0] += p;
+        assert_eq!(
+            resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas),
+            Err(CryptoError::ResolutionFailed)
+        );
+        let zq = s.group.zq();
+        let disclosed: Vec<u64> = s
+            .polys
+            .iter()
+            .map(|f| f.f().eval(&zq, s.alphas[1]))
+            .collect();
+        assert_eq!(
+            verify_f_disclosure(
+                &s.group,
+                &s.commitments,
+                1,
+                s.alphas[1],
+                &disclosed,
+                s.pairs[1].psi + p
+            ),
+            Err(CryptoError::DisclosureInvalid { point: 1 })
+        );
+        let mut unreduced = disclosed;
+        unreduced[0] += s.group.q();
+        assert_eq!(
+            verify_f_disclosure(
+                &s.group,
+                &s.commitments,
+                1,
+                s.alphas[1],
+                &unreduced,
+                s.pairs[1].psi
+            ),
+            Err(CryptoError::DisclosureInvalid { point: 1 })
+        );
+    }
+
+    #[test]
+    fn resolution_and_aggregate_checks_fit_their_op_budgets() {
+        // n = σ = 32 on the protocol's default group sizes (48-bit p,
+        // 24-bit q). The minimum bid 1 has the highest degree, so the scan
+        // visits every candidate.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        let mut bids: Vec<u64> = (0..32).map(|_| rng.gen_range(2..=30)).collect();
+        bids[7] = 1;
+        let s = setup_with_group(&bids, 5, 48, 24);
+        let sigma = s.encoding.sigma() as u64;
+        let lambdas: Vec<u64> = s.pairs.iter().map(|p| p.lambda).collect();
+
+        ops::reset_ops();
+        let r = resolve_min_bid(&s.group, &s.encoding, &s.alphas, &lambdas).unwrap();
+        let resolve = ops::take_ops();
+        assert_eq!(r.bid, 1);
+        assert!(
+            resolve.mul <= 10_000,
+            "resolve_min_bid: {} muls",
+            resolve.mul
+        );
+        assert!(
+            resolve.inv <= sigma,
+            "resolve_min_bid: {} invs",
+            resolve.inv
+        );
+
+        ops::reset_ops();
+        verify_lambda_psi(&s.group, &s.commitments, 3, s.alphas[3], &s.pairs[3], None).unwrap();
+        let lambda_psi = ops::take_ops();
+        assert!(
+            lambda_psi.mul <= 1_600,
+            "verify_lambda_psi: {} muls",
+            lambda_psi.mul
+        );
+
+        let zq = s.group.zq();
+        let disclosed: Vec<u64> = s
+            .polys
+            .iter()
+            .map(|f| f.f().eval(&zq, s.alphas[3]))
+            .collect();
+        ops::reset_ops();
+        verify_f_disclosure(
+            &s.group,
+            &s.commitments,
+            3,
+            s.alphas[3],
+            &disclosed,
+            s.pairs[3].psi,
+        )
+        .unwrap();
+        let disclosure = ops::take_ops();
+        assert!(
+            disclosure.mul <= 1_600,
+            "verify_f_disclosure: {} muls",
+            disclosure.mul
+        );
+    }
+
+    /// Equation (11) evaluated the per-agent way: one `Γ` per included
+    /// agent, multiplied together.
+    fn gamma_oracle(
+        group: &SchnorrGroup,
+        all: &[Commitments],
+        alpha: u64,
+        excluded: Option<usize>,
+    ) -> u64 {
+        let zp = group.zp();
+        all.iter()
+            .enumerate()
+            .filter(|&(l, _)| excluded != Some(l))
+            .fold(1, |acc, (_, c)| zp.mul(acc, c.gamma(group, alpha)))
+    }
+
+    /// Equation (13)'s right-hand side evaluated the per-agent way.
+    fn phi_oracle(group: &SchnorrGroup, all: &[Commitments], alpha: u64) -> u64 {
+        let zp = group.zp();
+        all.iter()
+            .fold(1, |acc, c| zp.mul(acc, c.phi(group, alpha)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn aggregated_checks_decide_like_the_per_agent_product(
+            seed in 0u64..1_000_000,
+            tamper in 0usize..6,
+            target in 0usize..1000,
+            exclude in 0usize..10,
+        ) {
+            // Tamper kinds: 0 none, 1 a Q entry, 2 an R entry, 3 a Λ,
+            // 4 a Ψ, 5 a disclosed f value.
+            let n = 5;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let bids: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=3)).collect();
+            let s = setup(&bids, seed);
+            let (group, zp, zq) = (&s.group, s.group.zp(), s.group.zq());
+            let sigma = s.encoding.sigma();
+            let (victim, entry) = (target % n, target / n % sigma);
+            let excluded = (exclude < n).then_some(exclude);
+
+            let mut commitments = s.commitments.clone();
+            match tamper {
+                1 => commitments[victim] = commitments[victim].clone().with_tampered_q(group, entry),
+                2 => {
+                    let c = &commitments[victim];
+                    let mut r = c.r().to_vec();
+                    r[entry] = zp.mul(r[entry], group.z2());
+                    commitments[victim] =
+                        Commitments::from_parts(&s.encoding, c.o().to_vec(), c.q().to_vec(), r)
+                            .unwrap();
+                }
+                _ => {}
+            }
+            let mut pairs: Vec<LambdaPsi> = match excluded {
+                None => s.pairs.clone(),
+                Some(w) => s
+                    .pairs
+                    .iter()
+                    .zip(&s.alphas)
+                    .map(|(pair, &a)| {
+                        let e = s.polys[w].e().eval(&zq, a);
+                        let h = s.polys[w].h().eval(&zq, a);
+                        exclude_winner(group, pair, e, h).unwrap()
+                    })
+                    .collect(),
+            };
+            match tamper {
+                3 => pairs[victim].lambda = zp.mul(pairs[victim].lambda, group.z1()),
+                4 => pairs[victim].psi = zp.mul(pairs[victim].psi, group.z2()),
+                _ => {}
+            }
+            let mut accepted = 0;
+            for (i, pair) in pairs.iter().enumerate() {
+                let oracle = gamma_oracle(group, &commitments, s.alphas[i], excluded)
+                    == zp.mul(pair.lambda, pair.psi);
+                let got = verify_lambda_psi(group, &commitments, i, s.alphas[i], pair, excluded);
+                prop_assert_eq!(got.is_ok(), oracle, "eq (11), agent {}", i);
+                if !oracle {
+                    prop_assert_eq!(got, Err(CryptoError::LambdaPsiInvalid { agent: i }));
+                }
+                accepted += usize::from(oracle);
+            }
+            if tamper == 0 {
+                prop_assert_eq!(accepted, n);
+            }
+
+            for (k, &alpha) in s.alphas.iter().enumerate() {
+                let mut disclosed: Vec<u64> =
+                    s.polys.iter().map(|p| p.f().eval(&zq, alpha)).collect();
+                if tamper == 5 && k == victim {
+                    disclosed[entry % n] = zq.add(disclosed[entry % n], 1);
+                }
+                let f_sum = disclosed.iter().fold(0, |acc, &v| zq.add(acc, v));
+                let oracle = zp.mul(group.pow_z1(f_sum), s.pairs[k].psi)
+                    == phi_oracle(group, &commitments, alpha);
+                let got = verify_f_disclosure(
+                    group,
+                    &commitments,
+                    k,
+                    alpha,
+                    &disclosed,
+                    s.pairs[k].psi,
+                );
+                prop_assert_eq!(got.is_ok(), oracle, "eq (13), point {}", k);
+                if tamper == 0 || (tamper == 5 && k == victim) {
+                    prop_assert_eq!(oracle, tamper == 0);
+                }
+            }
+        }
     }
 }

@@ -25,7 +25,28 @@
 //! The *distributed* variant used by DMW operates in the exponent: each
 //! agent publishes `Λ_k = z1^{E(α_k)}` and anyone checks
 //! `Π Λ_k^{ρ_k} = 1` (equation (12)). [`zero_coefficients`] computes the
-//! `ρ_k` for that check.
+//! `ρ_k` for one point set.
+//!
+//! # Cost of a degree scan
+//!
+//! A degree scan tests the prefixes `s = 1, 2, …` of one point list, so it
+//! needs every prefix coefficient vector `ρ^(s)`. Recomputing each with
+//! [`zero_coefficients`] costs `Θ(s²)` multiplications plus `s` inversions,
+//! `Θ(σ³)` over a whole scan. [`PrefixCoefficients`] instead derives
+//! `ρ^(s)` from `ρ^(s−1)`:
+//!
+//! ```text
+//! ρ_k^(s) = ρ_k^(s−1) · α_s / (α_s − α_k)      (k < s)
+//! ρ_s^(s) = Π_{i<s} α_i / (α_i − α_s)
+//! ```
+//!
+//! with the `s − 1` reciprocals `1/(α_s − α_k)` taken by one batched
+//! inversion (Montgomery's trick), so step `s` costs `≈ 4s`
+//! multiplications and one inversion, and a whole scan `≈ 2σ²`. The values
+//! are the unique coefficients mod the field order, identical to
+//! [`zero_coefficients`]; [`resolve_zero_degree`],
+//! [`resolve_zero_degree_among`] and the exponent-side scan of
+//! `dmw_crypto::resolution::resolve_min_bid` all walk one builder.
 
 use crate::error::ModMathError;
 use crate::field::PrimeField;
@@ -75,6 +96,153 @@ pub fn zero_coefficients(field: &PrimeField, points: &[u64]) -> Result<Vec<u64>,
     Ok(coeffs)
 }
 
+/// Incremental Lagrange-at-zero coefficients over the prefixes of a point
+/// list: the `s`-th [`Self::push`] returns
+/// `ρ^(s) = zero_coefficients(α_1, …, α_s)`.
+///
+/// Each [`Self::push`] updates the existing coefficients by
+/// `α_s / (α_s − α_k)` and appends the new one, using a single batched
+/// inversion (see the module docs for the cost).
+///
+/// # Example
+/// ```
+/// use dmw_modmath::{lagrange, PrimeField};
+///
+/// let f = PrimeField::new(1031)?;
+/// let points = [3, 7, 11, 19];
+/// let mut prefix = lagrange::PrefixCoefficients::new(&f);
+/// for s in 1..=points.len() {
+///     let rho = prefix.push(points[s - 1])?;
+///     assert_eq!(rho, lagrange::zero_coefficients(&f, &points[..s])?);
+/// }
+/// # Ok::<(), dmw_modmath::ModMathError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct PrefixCoefficients {
+    field: PrimeField,
+    points: Vec<u64>,
+    coeffs: Vec<u64>,
+    /// `Π α_i` over the pushed points: the numerator of the next new
+    /// coefficient.
+    point_product: u64,
+    /// Running products of the differences `α_s − α_k` (Montgomery's
+    /// trick), kept to reuse the allocation across pushes.
+    running: Vec<u64>,
+}
+
+impl PrefixCoefficients {
+    /// An empty builder over `field` (the exponent field `Z_q` in DMW).
+    pub fn new(field: &PrimeField) -> Self {
+        PrefixCoefficients {
+            field: *field,
+            points: Vec::new(),
+            coeffs: Vec::new(),
+            point_product: 1,
+            running: Vec::new(),
+        }
+    }
+
+    /// Appends `point` as `α_{s+1}` and returns the updated `ρ^(s+1)`.
+    ///
+    /// # Errors
+    ///
+    /// * [`ModMathError::OutOfRange`] if `point` is zero or not reduced;
+    /// * [`ModMathError::DuplicatePoint`] if `point` was already pushed.
+    ///
+    /// These are the errors [`zero_coefficients`] reports for the first
+    /// prefix that contains `point`. A rejected point leaves the builder
+    /// unchanged.
+    pub fn push(&mut self, point: u64) -> Result<&[u64], ModMathError> {
+        let f = self.field;
+        if point == 0 || !f.contains(point) {
+            return Err(ModMathError::OutOfRange {
+                value: point,
+                modulus: f.modulus(),
+            });
+        }
+        if self.points.contains(&point) {
+            return Err(ModMathError::DuplicatePoint { point });
+        }
+        // Forward pass: running[k] = Π_{i≤k} (α_s − α_i).
+        self.running.clear();
+        let mut total = None;
+        for &ak in &self.points {
+            let d = f.sub(point, ak);
+            let next = total.map_or(d, |t| f.mul(t, d));
+            self.running.push(next);
+            total = Some(next);
+        }
+        let new_coeff = match total {
+            None => 1, // ρ^(1) = (1): the empty product.
+            Some(total) => {
+                // `total` is a product of differences of distinct points,
+                // hence nonzero.
+                let total_inv = f.inv(total)?;
+                // Π_{i<s} (α_i − α_s) = (−1)^{s−1} · total.
+                let unsigned = f.mul(self.point_product, total_inv);
+                let new_coeff = if self.points.len() % 2 == 1 {
+                    f.neg(unsigned)
+                } else {
+                    unsigned
+                };
+                // Backward pass: `scale` starts at α_s / Π_{i≤k} d_i and
+                // sheds one difference per step, so `scale · running[k−1]`
+                // is α_s / d_k.
+                let mut scale = f.mul(point, total_inv);
+                let pairs = self.points.iter().zip(self.coeffs.iter_mut());
+                for (k, (&ak, rho)) in pairs.enumerate().rev() {
+                    let factor = match k.checked_sub(1).and_then(|j| self.running.get(j)) {
+                        Some(&before) => {
+                            let factor = f.mul(scale, before);
+                            scale = f.mul(scale, f.sub(point, ak));
+                            factor
+                        }
+                        None => scale,
+                    };
+                    *rho = f.mul(*rho, factor);
+                }
+                new_coeff
+            }
+        };
+        self.point_product = f.mul(self.point_product, point);
+        self.points.push(point);
+        self.coeffs.push(new_coeff);
+        Ok(&self.coeffs)
+    }
+
+    /// Returns `zero_coefficients(field, prefix)`, extending the builder
+    /// when `prefix` continues the points already pushed and restarting it
+    /// otherwise. An ascending sequence of prefixes of one list therefore
+    /// costs one incremental scan.
+    ///
+    /// # Errors
+    ///
+    /// [`ModMathError::EmptyInterpolation`] for an empty `prefix`, else the
+    /// first [`Self::push`] error. At the shortest failing prefix this is
+    /// the error [`zero_coefficients`] reports.
+    pub fn extend_to(&mut self, prefix: &[u64]) -> Result<&[u64], ModMathError> {
+        if prefix.is_empty() {
+            return Err(ModMathError::EmptyInterpolation);
+        }
+        if !prefix.starts_with(&self.points) {
+            *self = PrefixCoefficients::new(&self.field);
+        }
+        for &point in prefix.get(self.points.len()..).unwrap_or_default() {
+            self.push(point)?;
+        }
+        Ok(&self.coeffs)
+    }
+}
+
+/// `Σ_k values[k] · coeffs[k]`: a share vector interpolated at zero with
+/// precomputed coefficients.
+fn dot(field: &PrimeField, values: impl IntoIterator<Item = u64>, coeffs: &[u64]) -> u64 {
+    values
+        .into_iter()
+        .zip(coeffs)
+        .fold(0, |acc, (v, &rho)| field.add(acc, field.mul(v, rho)))
+}
+
 /// Interpolates `f(0)` from shares `(α_k, f(α_k))` using the basis-polynomial
 /// formula of Definition 11. The result equals the true `f(0)` iff
 /// `deg f ≤ s − 1` where `s = shares.len()` (up to the `1/q` accident).
@@ -96,11 +264,7 @@ pub fn zero_coefficients(field: &PrimeField, points: &[u64]) -> Result<Vec<u64>,
 pub fn interpolate_at_zero(field: &PrimeField, shares: &[(u64, u64)]) -> Result<u64, ModMathError> {
     let points: Vec<u64> = shares.iter().map(|&(a, _)| a).collect();
     let coeffs = zero_coefficients(field, &points)?;
-    let mut acc = 0u64;
-    for (&(_, v), &rho) in shares.iter().zip(&coeffs) {
-        acc = field.add(acc, field.mul(v, rho));
-    }
-    Ok(acc)
+    Ok(dot(field, shares.iter().map(|&(_, v)| v), &coeffs))
 }
 
 /// The paper's three-step `Θ(s²)` algorithm for `f^(s)(0)` (Section 2.4,
@@ -192,12 +356,11 @@ pub fn interpolate_at_zero_steps(
 /// # Ok::<(), dmw_modmath::ModMathError>(())
 /// ```
 pub fn resolve_zero_degree(field: &PrimeField, shares: &[(u64, u64)]) -> Option<usize> {
-    for s in 1..=shares.len() {
-        let prefix = shares.get(..s)?;
-        match interpolate_at_zero(field, prefix) {
-            Ok(0) => return Some(s - 1),
-            Ok(_) => continue,
-            Err(_) => return None,
+    let mut prefix = PrefixCoefficients::new(field);
+    for (s, &(alpha, _)) in shares.iter().enumerate() {
+        let rho = prefix.push(alpha).ok()?;
+        if dot(field, shares.iter().map(|&(_, v)| v), rho) == 0 {
+            return Some(s);
         }
     }
     None
@@ -206,17 +369,21 @@ pub fn resolve_zero_degree(field: &PrimeField, shares: &[(u64, u64)]) -> Option<
 /// Like [`resolve_zero_degree`], but only tests the candidate degrees in
 /// `candidates` (ascending): the protocol restricts bids to the discrete set
 /// `W`, so only degrees `σ − w, w ∈ W` can occur (equation (12) scans
-/// exactly that set).
+/// exactly that set). A candidate whose prefix contains an invalid point is
+/// skipped.
 pub fn resolve_zero_degree_among(
     field: &PrimeField,
     shares: &[(u64, u64)],
     candidates: &[usize],
 ) -> Option<usize> {
+    let points: Vec<u64> = shares.iter().map(|&(a, _)| a).collect();
+    let mut prefix = PrefixCoefficients::new(field);
     for &d in candidates {
-        let s = d + 1;
-        let prefix = shares.get(..s)?;
-        if let Ok(0) = interpolate_at_zero(field, prefix) {
-            return Some(d);
+        let head = points.get(..d + 1)?;
+        if let Ok(rho) = prefix.extend_to(head) {
+            if dot(field, shares.iter().map(|&(_, v)| v), rho) == 0 {
+                return Some(d);
+            }
         }
     }
     None
@@ -360,7 +527,127 @@ mod tests {
         assert_eq!(resolve_zero_degree(&f, &shares), None);
     }
 
+    #[test]
+    fn extend_to_restarts_on_a_shorter_or_different_prefix() {
+        let f = field();
+        let points = [3u64, 7, 11, 19, 23];
+        let mut prefix = PrefixCoefficients::new(&f);
+        for s in [4, 2, 5, 1, 3] {
+            assert_eq!(
+                prefix.extend_to(&points[..s]).unwrap(),
+                zero_coefficients(&f, &points[..s]).unwrap(),
+                "s={s}"
+            );
+        }
+        let other = [3u64, 8, 11];
+        assert_eq!(
+            prefix.extend_to(&other).unwrap(),
+            zero_coefficients(&f, &other).unwrap()
+        );
+        assert_eq!(prefix.extend_to(&[]), Err(ModMathError::EmptyInterpolation));
+    }
+
+    #[test]
+    fn rejected_push_leaves_the_builder_unchanged() {
+        let f = field();
+        let mut prefix = PrefixCoefficients::new(&f);
+        prefix.push(5).unwrap();
+        prefix.push(9).unwrap();
+        assert_eq!(
+            prefix.push(5),
+            Err(ModMathError::DuplicatePoint { point: 5 })
+        );
+        assert!(matches!(
+            prefix.push(0),
+            Err(ModMathError::OutOfRange { value: 0, .. })
+        ));
+        assert!(matches!(
+            prefix.push(1031),
+            Err(ModMathError::OutOfRange { value: 1031, .. })
+        ));
+        assert_eq!(
+            prefix.push(12).unwrap(),
+            zero_coefficients(&f, &[5, 9, 12]).unwrap()
+        );
+    }
+
+    #[test]
+    fn builder_scan_is_quadratic_with_one_inversion_per_step() {
+        let f = PrimeField::new(0x7FFF_FFFF_FFFF_FFE7).unwrap();
+        let points: Vec<u64> = (1..=32).map(|a| a * 7919).collect();
+        crate::ops::reset_ops();
+        let mut prefix = PrefixCoefficients::new(&f);
+        let mut rho = Vec::new();
+        for &a in &points {
+            rho = prefix.push(a).unwrap().to_vec();
+        }
+        let ops = crate::ops::take_ops();
+        // Step s costs 4(s − 1) multiplications (one for s = 1).
+        assert!(ops.mul <= 4 * 32 * 32 / 2, "{} muls", ops.mul);
+        assert_eq!(ops.inv, 31);
+        assert_eq!(rho, zero_coefficients(&f, &points).unwrap());
+    }
+
+    /// Points drawn from a small range so duplicates occur, with an
+    /// occasional zero or unreduced value spliced in.
+    fn point_list() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(
+            (0u64..220).prop_map(|v| match v {
+                0..=199 => v + 1,
+                200..=209 => 0,
+                _ => 1031 + v,
+            }),
+            1..24,
+        )
+    }
+
     proptest! {
+        #[test]
+        fn builder_matches_zero_coefficients_on_every_prefix(points in point_list()) {
+            let f = field();
+            let mut prefix = PrefixCoefficients::new(&f);
+            for s in 1..=points.len() {
+                let oracle = zero_coefficients(&f, &points[..s]);
+                match prefix.push(points[s - 1]) {
+                    Ok(rho) => prop_assert_eq!(Ok(rho.to_vec()), oracle, "s={}", s),
+                    Err(e) => {
+                        // The first failing prefix fails identically.
+                        prop_assert_eq!(Err(e), oracle, "s={}", s);
+                        break;
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn resolution_matches_per_prefix_interpolation(
+            d in 1usize..10,
+            seed in 0u64..5000,
+            dup in 0usize..24,
+        ) {
+            // The builder-backed scans agree with interpolating each
+            // prefix from scratch, including on invalid point lists.
+            let f = field();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let p = Poly::random_zero_constant(&f, d, &mut rng);
+            let mut shares: Vec<(u64, u64)> = (1..=12).map(|a| (a, p.eval(&f, a))).collect();
+            // Half the cases make one point repeat a later one.
+            if dup < 12 {
+                shares[dup].0 = shares[(dup + 5) % 12].0;
+            }
+            let scratch = (1..=shares.len())
+                .map(|s| interpolate_at_zero(&f, &shares[..s]))
+                .take_while(Result::is_ok)
+                .position(|v| v == Ok(0));
+            prop_assert_eq!(resolve_zero_degree(&f, &shares), scratch);
+            let candidates = [2usize, 4, 5, 9];
+            let among = candidates
+                .iter()
+                .copied()
+                .find(|&c| interpolate_at_zero(&f, &shares[..=c]) == Ok(0));
+            prop_assert_eq!(resolve_zero_degree_among(&f, &shares, &candidates), among);
+        }
+
         #[test]
         fn random_polynomials_resolve(
             d in 1usize..10,

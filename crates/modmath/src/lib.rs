@@ -19,7 +19,8 @@
 //!   random polynomials in which DMW encodes bids (Section 3, Phase II);
 //! * [`lagrange`] — Lagrange interpolation at zero and the polynomial degree
 //!   resolution procedure of Section 2.4, both the textbook formula and the
-//!   paper's three-step algorithm \[14\];
+//!   paper's three-step algorithm \[14\], plus the incremental
+//!   prefix-coefficient builder that keeps a degree scan quadratic;
 //! * [`ops`] — thread-local operation counters used to regenerate the
 //!   computational-cost row of the paper's Table 1.
 //!

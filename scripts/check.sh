@@ -26,6 +26,9 @@
 #   7b. benchmark build + tests   -- dmwbench/ is its own workspace, so
 #      neither step 7 nor tier-1 compiles it; an API change the benchmark
 #      depends on (e.g. the `LockstepTransport` name) fails here
+#   7c. criterion benches compile -- `cargo test` never builds
+#      crates/bench/benches/*, so an API change they call (e.g.
+#      `resolve_min_bid`) fails here instead of rotting unseen
 #   8. bench_batch --smoke        -- the batch engine end-to-end on a tiny
 #      instance, exiting non-zero if thread counts disagree or the
 #      adaptive recovery layer exceeds its retransmission/duplicate
@@ -79,6 +82,9 @@ cargo test --quiet --workspace
 
 echo "==> cargo test (benchmark, dmwbench/)"
 cargo test --release --offline --quiet --manifest-path dmwbench/Cargo.toml
+
+echo "==> cargo bench --no-run (criterion benches compile)"
+cargo bench --no-run --offline --quiet -p dmw-bench
 
 echo "==> bench_batch --smoke (recovery ceilings)"
 # The smoke instance is fully deterministic: the adaptive endpoint
