@@ -1,14 +1,16 @@
 //! Criterion micro-benchmarks for the cryptographic primitives behind
 //! Table 1: share generation, commitment computation, share verification
 //! (equations (7)–(9)), the published `Λ`/`Ψ` check (equation (11)) and
-//! degree resolution (equation (12)).
+//! degree resolution (equation (12)), plus the Montgomery kernels at the
+//! sizes that dominate the benchmark workloads: `share_for` and `commit`
+//! at n = 128, and a σ = 32 multi-exponentiation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmw_crypto::commitments::{verify_shares, Commitments};
 use dmw_crypto::polynomials::BidPolynomials;
 use dmw_crypto::resolution::{compute_lambda_psi, resolve_min_bid, verify_lambda_psi};
 use dmw_crypto::BidEncoding;
-use dmw_modmath::{lagrange, Poly, SchnorrGroup};
+use dmw_modmath::{lagrange, multiexp, Poly, SchnorrGroup};
 use rand::SeedableRng;
 
 fn rng() -> rand::rngs::StdRng {
@@ -94,9 +96,36 @@ fn bench_protocol_primitives(c: &mut Criterion) {
     bench.finish();
 }
 
+fn bench_kernels(c: &mut Criterion) {
+    let mut bench = c.benchmark_group("kernels");
+    let mut r = rng();
+    let group = SchnorrGroup::generate(48, 24, &mut r).unwrap();
+    let zq = group.zq();
+    let n = 128usize;
+    let encoding = BidEncoding::new(n, 1).unwrap();
+    let polys = BidPolynomials::generate(&group, &encoding, 1, &mut r).unwrap();
+    let alpha = zq.rand_nonzero(&mut r);
+    bench.bench_with_input(BenchmarkId::new("share_for", n), &n, |b, _| {
+        b.iter(|| polys.share_for(&zq, alpha))
+    });
+    bench.bench_with_input(BenchmarkId::new("commit", n), &n, |b, _| {
+        b.iter(|| Commitments::commit(&group, &encoding, &polys))
+    });
+    let (ea, eb) = (zq.rand_element(&mut r), zq.rand_element(&mut r));
+    bench.bench_function("group_commit", |b| b.iter(|| group.commit(ea, eb)));
+    let sigma = 32usize;
+    let zp = group.zp();
+    let bases: Vec<u64> = (0..sigma).map(|_| zp.rand_nonzero(&mut r)).collect();
+    let exps: Vec<u64> = (0..sigma).map(|_| zq.rand_element(&mut r)).collect();
+    bench.bench_with_input(BenchmarkId::new("multi_pow", sigma), &sigma, |b, _| {
+        b.iter(|| multiexp::multi_pow(&zp, &bases, &exps))
+    });
+    bench.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_polynomials, bench_protocol_primitives
+    targets = bench_polynomials, bench_protocol_primitives, bench_kernels
 }
 criterion_main!(benches);

@@ -177,6 +177,12 @@ impl Commitments {
 /// Verifies a received share bundle against the sender's commitments —
 /// Phase III.1, equations (7), (8) and (9), in that order.
 ///
+/// Both the bundle and the commitments come from the wire, so their ranges
+/// are checked before any arithmetic: a share must be a canonical element
+/// of `Z_q` and a commitment entry a canonical element of `Z_p`. An
+/// out-of-range value fails the first equation that reads it — (7) for
+/// `O`, `e`, `f` and `g`, (8) for `Q` and `h`, (9) for `R`.
+///
 /// # Errors
 ///
 /// Returns [`CryptoError::ShareVerificationFailed`] naming the first
@@ -206,6 +212,21 @@ pub fn verify_shares(
     bundle: &ShareBundle,
 ) -> Result<(), CryptoError> {
     let zq = group.zq();
+    let zp = group.zp();
+    let shares_ok = |shares: &[u64]| shares.iter().all(|&v| zq.contains(v));
+    let entries_ok = |entries: &[u64]| entries.iter().all(|&v| zp.contains(v));
+    for (equation, in_range) in [
+        (
+            7,
+            shares_ok(&[bundle.e, bundle.f, bundle.g]) && entries_ok(commitments.o()),
+        ),
+        (8, shares_ok(&[bundle.h]) && entries_ok(commitments.q())),
+        (9, entries_ok(commitments.r())),
+    ] {
+        if !in_range {
+            return Err(CryptoError::ShareVerificationFailed { equation });
+        }
+    }
     // (7): z1^{e(α)f(α)} z2^{g(α)} == Π O_ℓ^{α^ℓ}.
     let lhs7 = group.commit(zq.mul(bundle.e, bundle.f), bundle.g);
     if lhs7 != commitments.omicron(group, alpha) {
@@ -399,6 +420,101 @@ mod tests {
         let bundle = substituted.share_for(&zq, 5);
         let err = verify_shares(&group, &commitments, 5, &bundle).unwrap_err();
         assert!(matches!(err, CryptoError::ShareVerificationFailed { .. }));
+    }
+
+    /// Commitments with the entry at `index` of vector `which` (0 = O,
+    /// 1 = Q, 2 = R) lifted by `p`: the same residue, but not canonical.
+    fn with_entry_plus_p(
+        group: &SchnorrGroup,
+        encoding: &BidEncoding,
+        c: &Commitments,
+        which: usize,
+        index: usize,
+    ) -> Commitments {
+        let mut parts = [c.o().to_vec(), c.q().to_vec(), c.r().to_vec()];
+        parts[which][index] += group.p();
+        let [o, q, r] = parts;
+        Commitments::from_parts(encoding, o, q, r).unwrap()
+    }
+
+    #[test]
+    fn non_canonical_commitment_entries_fail_their_equation() {
+        let (group, encoding, mut rng) = setup();
+        let zq = group.zq();
+        let polys = BidPolynomials::generate(&group, &encoding, 2, &mut rng).unwrap();
+        let commitments = Commitments::commit(&group, &encoding, &polys);
+        let bundle = polys.share_for(&zq, 9);
+        for (which, equation) in [(0, 7), (1, 8), (2, 9)] {
+            let lifted = with_entry_plus_p(&group, &encoding, &commitments, which, 0);
+            assert_eq!(
+                verify_shares(&group, &lifted, 9, &bundle),
+                Err(CryptoError::ShareVerificationFailed { equation }),
+                "vector {which}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_canonical_shares_fail_their_equation() {
+        let (group, encoding, mut rng) = setup();
+        let zq = group.zq();
+        let polys = BidPolynomials::generate(&group, &encoding, 2, &mut rng).unwrap();
+        let commitments = Commitments::commit(&group, &encoding, &polys);
+        let honest = polys.share_for(&zq, 9);
+        let q = group.q();
+        for (bundle, equation) in [
+            (
+                ShareBundle {
+                    e: honest.e + q,
+                    ..honest
+                },
+                7,
+            ),
+            (
+                ShareBundle {
+                    f: honest.f + q,
+                    ..honest
+                },
+                7,
+            ),
+            (
+                ShareBundle {
+                    g: honest.g + q,
+                    ..honest
+                },
+                7,
+            ),
+            (
+                ShareBundle {
+                    h: honest.h + q,
+                    ..honest
+                },
+                8,
+            ),
+        ] {
+            assert_eq!(
+                verify_shares(&group, &commitments, 9, &bundle),
+                Err(CryptoError::ShareVerificationFailed { equation }),
+                "{bundle:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn range_checks_precede_arithmetic_in_equation_order() {
+        // A non-canonical R entry is reported as (9) even when the bundle
+        // would fail (7) arithmetically: ranges are checked first.
+        let (group, encoding, mut rng) = setup();
+        let zq = group.zq();
+        let polys = BidPolynomials::generate(&group, &encoding, 2, &mut rng).unwrap();
+        let commitments = Commitments::commit(&group, &encoding, &polys);
+        let lifted = with_entry_plus_p(&group, &encoding, &commitments, 2, 1);
+        let mut bundle = polys.share_for(&zq, 9);
+        bundle.g = zq.add(bundle.g, 1);
+        assert_eq!(
+            verify_shares(&group, &lifted, 9, &bundle),
+            Err(CryptoError::ShareVerificationFailed { equation: 9 })
+        );
     }
 
     #[test]

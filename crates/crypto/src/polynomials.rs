@@ -109,14 +109,12 @@ impl BidPolynomials {
     }
 
     /// The share bundle destined for the agent with pseudonym `alpha`
-    /// (Phase II.2).
+    /// (Phase II.2): `e`, `f`, `g` and `h` evaluated at `alpha` as four
+    /// interleaved Horner chains ([`Poly::eval_each`]), counted as four
+    /// [`Poly::eval`] calls.
     pub fn share_for(&self, zq: &PrimeField, alpha: u64) -> ShareBundle {
-        ShareBundle {
-            e: self.e.eval(zq, alpha),
-            f: self.f.eval(zq, alpha),
-            g: self.g.eval(zq, alpha),
-            h: self.h.eval(zq, alpha),
-        }
+        let [e, f, g, h] = Poly::eval_each([&self.e, &self.f, &self.g, &self.h], zq, alpha);
+        ShareBundle { e, f, g, h }
     }
 
     /// Share bundles for every pseudonym, in order.

@@ -3,7 +3,16 @@
 //! All functions assume an odd modulus `m > 1` and operands already reduced
 //! into `[0, m)`; the [`crate::field::PrimeField`] wrapper enforces those
 //! preconditions and should be preferred in protocol code. Intermediates use
-//! `u128`, so any modulus up to 63 bits is safe.
+//! `u128`, so any modulus below `2⁶⁴` is safe.
+//!
+//! These are the any-modulus scalar primitives: one `u128 %` per
+//! multiplication, one counter update per operation. Lone field operations
+//! ([`crate::PrimeField::mul`], `add`, `sub`, `inv`) use them directly,
+//! and they are the reference the Montgomery kernels are tested against.
+//! The hot kernels — [`crate::PrimeField::pow`],
+//! [`crate::SchnorrGroup::commit`], [`crate::multiexp::multi_pow`],
+//! [`crate::Poly::eval`] and [`crate::Poly::mul`] — run on the crate's
+//! Montgomery core instead and record the same logical counts in bulk.
 //!
 //! Every multiplication and inversion is recorded in the thread-local
 //! [`crate::ops`] counters; this instrumentation is how the reproduction
@@ -20,7 +29,7 @@ use crate::ops;
 #[inline]
 pub fn add_mod(a: u64, b: u64, m: u64) -> u64 {
     debug_assert!(a < m && b < m);
-    ops::record_add();
+    ops::record_adds(1);
     let s = a as u128 + b as u128;
     let m128 = m as u128;
     // In range: the conditional subtraction leaves a value `< m <= u64::MAX`.
@@ -39,7 +48,7 @@ pub fn add_mod(a: u64, b: u64, m: u64) -> u64 {
 #[inline]
 pub fn sub_mod(a: u64, b: u64, m: u64) -> u64 {
     debug_assert!(a < m && b < m);
-    ops::record_add();
+    ops::record_adds(1);
     if a >= b {
         a - b
     } else {
@@ -56,7 +65,7 @@ pub fn sub_mod(a: u64, b: u64, m: u64) -> u64 {
 #[inline]
 pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     debug_assert!(a < m && b < m);
-    ops::record_mul();
+    ops::record_muls(1);
     // In range: the residue of `% m` is `< m <= u64::MAX`.
     #[allow(clippy::cast_possible_truncation)]
     {
@@ -128,22 +137,20 @@ pub fn inv_mod(a: u64, m: u64) -> Option<u64> {
         return None;
     }
     ops::record_inv();
-    let (mut old_r, mut r) = (a as i128, m as i128);
+    // Remainders never exceed `m`, so they stay in u64 and each step is a
+    // native division; only the Bézout coefficients (bounded by `m` in
+    // magnitude, their products by `2m`) need i128.
+    let (mut old_r, mut r) = (a, m);
     let (mut old_s, mut s) = (1i128, 0i128);
     while r != 0 {
         let quotient = old_r / r;
-        let tmp_r = old_r - quotient * r;
-        old_r = r;
-        r = tmp_r;
-        let tmp_s = old_s - quotient * s;
-        old_s = s;
-        s = tmp_s;
+        (old_r, r) = (r, old_r - quotient * r);
+        (old_s, s) = (s, old_s - i128::from(quotient) * s);
     }
     if old_r != 1 {
         return None;
     }
-    let m128 = m as i128;
-    let inv = ((old_s % m128) + m128) % m128;
+    let inv = old_s.rem_euclid(i128::from(m));
     // In range: `inv` lies in `[0, m)` and `m` fits in u64.
     #[allow(clippy::cast_possible_truncation)]
     Some(inv as u64)

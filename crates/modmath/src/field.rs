@@ -7,9 +7,24 @@
 //! reduced into `[0, p)`; the newtype lives at the field level rather than
 //! the element level so that values can flow through messages and
 //! serialization without carrying the modulus along.
+//!
+//! # Cost and counting
+//!
+//! A field also caches its Montgomery constants (`p⁻¹ mod 2⁶⁴`,
+//! `2⁶⁴ mod p`, `2¹²⁸ mod p`), computed once at construction, so every
+//! kernel built on them starts without a single `u128 %`. Lone
+//! [`PrimeField::mul`]/[`PrimeField::add`]/[`PrimeField::inv`] calls use
+//! the scalar [`crate::arith`] primitives (a single plain multiply gains
+//! nothing from two REDCs). [`PrimeField::pow`] runs the Montgomery ladder
+//! and records one `pow` plus `popcount(exp) + bitlen(exp) − 1`
+//! multiplications — exactly what the plain right-to-left ladder performs.
+//! The constants are a function of the modulus, so equality, hashing and
+//! the serialized form depend on the modulus alone.
 
 use crate::arith;
 use crate::error::ModMathError;
+use crate::mont::{self, Montgomery};
+use crate::ops;
 use crate::prime::is_prime;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -25,9 +40,45 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.inv(3)?, 5);
 /// # Ok::<(), dmw_modmath::ModMathError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[serde(from = "Modulus", into = "Modulus")]
 pub struct PrimeField {
     modulus: u64,
+    mont: Montgomery,
+}
+
+/// The serialized form of a [`PrimeField`]: its modulus alone, under the
+/// field's own name.
+#[derive(Serialize, Deserialize)]
+#[serde(rename = "PrimeField")]
+struct Modulus {
+    modulus: u64,
+}
+
+impl From<Modulus> for PrimeField {
+    fn from(m: Modulus) -> Self {
+        PrimeField::with_constants(m.modulus)
+    }
+}
+
+impl From<PrimeField> for Modulus {
+    fn from(f: PrimeField) -> Self {
+        Modulus { modulus: f.modulus }
+    }
+}
+
+impl PartialEq for PrimeField {
+    fn eq(&self, other: &Self) -> bool {
+        self.modulus == other.modulus
+    }
+}
+
+impl Eq for PrimeField {}
+
+impl std::hash::Hash for PrimeField {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.modulus.hash(state);
+    }
 }
 
 impl PrimeField {
@@ -41,7 +92,7 @@ impl PrimeField {
         if p < 3 || !is_prime(p) {
             return Err(ModMathError::NotPrime { modulus: p });
         }
-        Ok(PrimeField { modulus: p })
+        Ok(PrimeField::with_constants(p))
     }
 
     /// Rebuilds a field whose modulus was already validated by [`Self::new`]
@@ -49,7 +100,20 @@ impl PrimeField {
     /// primality re-check so reconstruction is infallible.
     pub(crate) fn from_validated_modulus(p: u64) -> Self {
         debug_assert!(p >= 3 && is_prime(p));
-        PrimeField { modulus: p }
+        PrimeField::with_constants(p)
+    }
+
+    fn with_constants(p: u64) -> Self {
+        PrimeField {
+            modulus: p,
+            mont: Montgomery::new(p),
+        }
+    }
+
+    /// The cached Montgomery constants the kernels run on.
+    #[inline]
+    pub(crate) fn mont(&self) -> &Montgomery {
+        &self.mont
     }
 
     /// The field modulus `p`.
@@ -114,10 +178,29 @@ impl PrimeField {
         arith::mul_mod(a, b, self.modulus)
     }
 
-    /// Raises `base` to `exp`.
+    /// Raises `base` to `exp` by the Montgomery ladder: branch-free over
+    /// the exponent bits, counted as one `pow` and
+    /// `popcount(exp) + bitlen(exp) − 1` multiplications.
     #[inline]
     pub fn pow(&self, base: u64, exp: u64) -> u64 {
-        arith::pow_mod(base, exp, self.modulus)
+        debug_assert!(self.contains(base));
+        ops::record_pow();
+        ops::record_muls(mont::ladder_muls(exp));
+        let m = &self.mont;
+        m.canonical(m.pow(m.montgomery(base), exp))
+    }
+
+    /// `x^a · y^b`, with the two ladders interleaved in one loop. Counted
+    /// as the two [`Self::pow`] calls and the product it replaces.
+    pub(crate) fn pow_product(&self, x: u64, a: u64, y: u64, b: u64) -> u64 {
+        debug_assert!(self.contains(x) && self.contains(y));
+        ops::record_pow();
+        ops::record_pow();
+        ops::record_muls(mont::ladder_muls(a) + mont::ladder_muls(b) + 1);
+        let m = &self.mont;
+        let mut terms = [0u64; 128];
+        let n = m.ladder_terms([m.montgomery(x), m.montgomery(y)], [a, b], &mut terms);
+        m.canonical(m.fold(m.one(), terms.get(..n).unwrap_or_default()))
     }
 
     /// Computes the multiplicative inverse of `a`.
@@ -265,6 +348,72 @@ mod tests {
         fn fermat_little_theorem(a in 1u64..1031) {
             let f = PrimeField::new(1031).unwrap();
             prop_assert_eq!(f.pow(a, 1030), 1);
+        }
+    }
+
+    /// Fields the kernel tests run over: a small prime, the largest 63-bit
+    /// prime and the largest prime below 2⁶⁴.
+    fn kernel_fields() -> [PrimeField; 3] {
+        [1031, 0x7FFF_FFFF_FFFF_FFE7, 18_446_744_073_709_551_557]
+            .map(|p| PrimeField::new(p).unwrap())
+    }
+
+    #[test]
+    fn equality_and_hash_depend_on_the_modulus_alone() {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        fn hash_of<T: Hash>(v: &T) -> u64 {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        }
+        let f = PrimeField::new(1031).unwrap();
+        assert_eq!(f, PrimeField::from_validated_modulus(1031));
+        // The same hash as the pre-Montgomery `derive(Hash)` over the
+        // modulus field.
+        assert_eq!(hash_of(&f), hash_of(&1031u64));
+    }
+
+    #[test]
+    fn pow_matches_pow_mod_on_edges() {
+        for f in kernel_fields() {
+            let p = f.modulus();
+            for base in [0, 1, 2, p - 1] {
+                for exp in [0, 1, 2, p - 2, p - 1, u64::MAX] {
+                    assert_eq!(
+                        f.pow(base, exp),
+                        arith::pow_mod(base, exp, p),
+                        "{base}^{exp} mod {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn pow_matches_pow_mod_with_its_counts(
+            which in 0usize..3,
+            base in proptest::num::u64::ANY,
+            exp in proptest::num::u64::ANY,
+        ) {
+            let f = kernel_fields()[which];
+            let base = f.reduce(base);
+            ops::reset_ops();
+            let oracle = arith::pow_mod(base, exp, f.modulus());
+            let oracle_ops = ops::take_ops();
+            let got = f.pow(base, exp);
+            let got_ops = ops::take_ops();
+            prop_assert_eq!(got, oracle);
+            prop_assert_eq!(got_ops, oracle_ops);
+            prop_assert_eq!(
+                got_ops,
+                crate::OpsSnapshot {
+                    mul: u64::from(exp.count_ones() + 64 - exp.leading_zeros()).saturating_sub(1),
+                    add: 0,
+                    inv: 0,
+                    pow: 1,
+                }
+            );
         }
     }
 }

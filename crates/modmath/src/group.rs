@@ -231,6 +231,10 @@ impl SchnorrGroup {
     /// Computes the double-base commitment `z1^a · z2^b (mod p)` — the shape
     /// of every commitment entry in the paper's equation (6).
     ///
+    /// The two ladders run interleaved in one loop on the Montgomery core;
+    /// the operation counts are those of the two `pow` calls and the
+    /// product in the example below.
+    ///
     /// # Example
     /// ```
     /// # use dmw_modmath::SchnorrGroup;
@@ -243,8 +247,7 @@ impl SchnorrGroup {
     /// # Ok::<(), dmw_modmath::ModMathError>(())
     /// ```
     pub fn commit(&self, a: u64, b: u64) -> u64 {
-        let zp = self.zp();
-        zp.mul(zp.pow(self.z1, a), zp.pow(self.z2, b))
+        self.zp().pow_product(self.z1, a, self.z2, b)
     }
 
     /// `z1^a (mod p)`.
@@ -359,5 +362,40 @@ mod tests {
         let g = SchnorrGroup::generate(40, 16, &mut rng()).unwrap();
         // z1^(q+5) == z1^5 because z1 has order q.
         assert_eq!(g.pow_z1(g.q() + 5), g.pow_z1(5));
+    }
+
+    #[test]
+    fn commit_matches_plain_ladders_and_their_counts() {
+        use crate::{arith, ops};
+        let g = SchnorrGroup::generate(48, 24, &mut rng()).unwrap();
+        let mut r = rng();
+        let ladder = |e: u64| u64::from(e.count_ones() + 64 - e.leading_zeros()).saturating_sub(1);
+        let mut cases = vec![
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (g.q() - 1, g.q() - 1),
+            (u64::MAX, 3),
+        ];
+        cases.extend((0..64).map(|_| (r.gen_range(0..g.q()), r.gen_range(0..g.q()))));
+        for (a, b) in cases {
+            let p = g.p();
+            let plain = arith::mul_mod(
+                arith::pow_mod(g.z1(), a, p),
+                arith::pow_mod(g.z2(), b, p),
+                p,
+            );
+            ops::reset_ops();
+            assert_eq!(g.commit(a, b), plain, "commit({a}, {b})");
+            assert_eq!(
+                ops::take_ops(),
+                crate::OpsSnapshot {
+                    mul: ladder(a) + ladder(b) + 1,
+                    add: 0,
+                    inv: 0,
+                    pow: 2,
+                }
+            );
+        }
     }
 }

@@ -8,6 +8,11 @@
 //! * [`arith`] — primitive modular operations on `u64` values with `u128`
 //!   intermediates (multiplication, exponentiation by right-to-left binary
 //!   decomposition, inversion by the extended Euclidean algorithm);
+//! * a private Montgomery core (REDC with `R = 2⁶⁴`, every odd modulus
+//!   below `2⁶⁴`) on which the hot kernels run — [`PrimeField::pow`],
+//!   [`SchnorrGroup::commit`], [`multiexp::multi_pow`], [`Poly::eval`],
+//!   [`Poly::eval_each`] and [`Poly::mul`] — each recording its logical
+//!   operation count once per call;
 //! * [`prime`] — deterministic Miller–Rabin primality testing for `u64` and
 //!   random prime generation;
 //! * [`field`] — [`PrimeField`], a runtime-modulus prime field `Z_p` wrapping
@@ -63,6 +68,7 @@ pub mod error;
 pub mod field;
 pub mod group;
 pub mod lagrange;
+mod mont;
 pub mod multiexp;
 pub mod ops;
 pub mod poly;

@@ -18,8 +18,21 @@
 //! `≈ log p · (1 + k/2)`, roughly a 3× saving for large `k`. The
 //! `primitives` bench measures the gap; the correctness proptest pins the
 //! identity against the naive product.
+//!
+//! # Execution and counting
+//!
+//! [`multi_pow`] converts the bases to Montgomery form once. Per bit it
+//! squares, gathers the bases whose exponent has that bit set by
+//! branch-free compaction (`terms[n] = v_ℓ; n += bit`), and folds them
+//! into four independent lane products, so neither random exponent bits
+//! nor one long dependency chain stall it. The counters record
+//! `top_bit + Σ_ℓ popcount(e_ℓ)` multiplications once per call: exactly
+//! the squarings and set-bit multiplications of the loop above. The
+//! conversions into and out of Montgomery form are representation
+//! overhead and are not counted.
 
 use crate::field::PrimeField;
+use crate::ops;
 
 /// Computes `Π bases[i]^{exps[i]}` in `field` by interleaved
 /// square-and-multiply.
@@ -45,16 +58,24 @@ pub fn multi_pow(field: &PrimeField, bases: &[u64], exps: &[u64]) -> u64 {
         None | Some(0) => return 1,
         Some(b) => b,
     };
-    let mut acc = 1u64;
+    let set_bits: u64 = exps.iter().map(|e| u64::from(e.count_ones())).sum();
+    ops::record_muls(u64::from(top_bit) + set_bits);
+    let m = field.mont();
+    let bases: Vec<u64> = bases.iter().map(|&b| m.montgomery(b)).collect();
+    let mut terms = vec![0u64; bases.len()];
+    let mut acc = m.one();
     for bit in (0..top_bit).rev() {
-        acc = field.mul(acc, acc);
+        acc = m.mul(acc, acc);
+        let mut n = 0;
         for (&base, &exp) in bases.iter().zip(exps) {
-            if (exp >> bit) & 1 == 1 {
-                acc = field.mul(acc, base);
+            if let Some(slot) = terms.get_mut(n) {
+                *slot = base;
             }
+            n += usize::from((exp >> bit) & 1 == 1);
         }
+        acc = m.fold(acc, terms.get(..n).unwrap_or_default());
     }
-    acc
+    m.canonical(acc)
 }
 
 #[cfg(test)]
@@ -141,6 +162,74 @@ mod tests {
             prop_assert_eq!(
                 multi_pow(&f, &[b, 999], &[e, 0]),
                 f.pow(b, e)
+            );
+        }
+    }
+
+    /// The product of plain scalar ladders: the oracle for the kernel.
+    fn plain_product(field: &PrimeField, bases: &[u64], exps: &[u64]) -> u64 {
+        let m = field.modulus();
+        bases.iter().zip(exps).fold(1u64, |acc, (&b, &e)| {
+            crate::arith::mul_mod(acc, crate::arith::pow_mod(b, e, m), m)
+        })
+    }
+
+    /// The count the kernel must record: one squaring per bit below the
+    /// top set bit of any exponent, plus one multiplication per set bit.
+    fn closed_form_muls(exps: &[u64]) -> u64 {
+        let top = exps
+            .iter()
+            .map(|e| 64 - e.leading_zeros())
+            .max()
+            .unwrap_or(0);
+        u64::from(top) + exps.iter().map(|e| u64::from(e.count_ones())).sum::<u64>()
+    }
+
+    #[test]
+    fn all_zero_exponents_give_one_and_count_nothing() {
+        let f = PrimeField::new(P).unwrap();
+        for k in [0usize, 1, 5, 32] {
+            let bases: Vec<u64> = (0..k as u64).map(|i| i + 2).collect();
+            ops::reset_ops();
+            assert_eq!(multi_pow(&f, &bases, &vec![0; k]), 1);
+            assert_eq!(ops::take_ops(), ops::OpsSnapshot::default());
+        }
+    }
+
+    #[test]
+    fn zero_bases_and_top_moduli_match_the_oracle() {
+        for p in [3u64, 1031, P, 18_446_744_073_709_551_557] {
+            let f = PrimeField::new(p).unwrap();
+            let bases = [0, 1, p - 1, p / 2, 0];
+            let exps = [3, u64::MAX, p - 1, 7, 0];
+            assert_eq!(
+                multi_pow(&f, &bases, &exps),
+                plain_product(&f, &bases, &exps),
+                "p = {p}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn matches_plain_ladders_with_closed_form_counts(
+            seed in 0u64..10_000,
+            k in 0usize..40,
+        ) {
+            let f = PrimeField::new(P).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let bases: Vec<u64> = (0..k).map(|_| f.rand_element(&mut rng)).collect();
+            // Mix full-width, short and zero exponents.
+            let exps: Vec<u64> = (0..k)
+                .map(|i| f.rand_element(&mut rng) >> (i % 3 * 31))
+                .collect();
+            ops::reset_ops();
+            let got = multi_pow(&f, &bases, &exps);
+            let counted = ops::take_ops();
+            prop_assert_eq!(got, plain_product(&f, &bases, &exps));
+            prop_assert_eq!(
+                counted,
+                ops::OpsSnapshot { mul: closed_form_muls(&exps), add: 0, inv: 0, pow: 0 }
             );
         }
     }

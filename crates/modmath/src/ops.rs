@@ -2,9 +2,28 @@
 //!
 //! The paper's Table 1 bounds DMW's per-agent computation by `O(mn² log p)`
 //! counted in modular multiplications (with an inversion costed as one
-//! multiplication, Section 2.4). These counters record every primitive
-//! operation executed by [`crate::arith`] so the reproduction harness can
-//! measure that bound empirically rather than assert it.
+//! multiplication, Section 2.4). These counters record every logical
+//! field operation so the reproduction harness can measure that bound
+//! empirically rather than assert it.
+//!
+//! The counts are *logical*: they are the operations of the plain
+//! algorithm, whatever the representation that executes them.
+//!
+//! * The scalar [`crate::arith`] primitives record one operation per call.
+//! * The Montgomery kernels record their closed-form count once per call,
+//!   never inside their loops:
+//!   - a ladder ([`crate::PrimeField::pow`]) records one `pow` and
+//!     `popcount + bitlen − 1` multiplications;
+//!   - [`crate::SchnorrGroup::commit`] records two ladders plus one
+//!     multiplication;
+//!   - [`crate::multiexp::multi_pow`] records `top_bit + Σ popcount`;
+//!   - Horner ([`crate::Poly::eval`], [`crate::Poly::eval_each`]) records
+//!     `len` multiplications and `len` additions per polynomial;
+//!   - [`crate::Poly::mul`] records `nonzero rows × len` of each.
+//! * Conversions into and out of Montgomery form, and the multiplications
+//!   by one that keep the kernels branch-free, are representation overhead
+//!   and are not counted.
+//! * Setup work (Miller–Rabin) is not counted at all.
 //!
 //! Counters are thread-local: a simulation driving `n` agents on one thread
 //! measures the whole protocol; the per-agent figure is obtained by dividing
@@ -85,14 +104,17 @@ impl std::ops::Add for OpsSnapshot {
     }
 }
 
+/// Records `n` modular multiplications. Kernels call this once per call
+/// with their closed-form count rather than once per multiplication.
 #[inline]
-pub(crate) fn record_mul() {
-    MUL.with(|c| c.set(c.get().wrapping_add(1)));
+pub(crate) fn record_muls(n: u64) {
+    MUL.with(|c| c.set(c.get().wrapping_add(n)));
 }
 
+/// Records `n` modular additions or subtractions.
 #[inline]
-pub(crate) fn record_add() {
-    ADD.with(|c| c.set(c.get().wrapping_add(1)));
+pub(crate) fn record_adds(n: u64) {
+    ADD.with(|c| c.set(c.get().wrapping_add(n)));
 }
 
 #[inline]

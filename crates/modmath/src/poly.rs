@@ -15,8 +15,25 @@
 //! algorithm the paper's Theorem 12 costs at `O(n)` multiplications per
 //! share) and ring operations the protocol needs — notably the product
 //! `e(x)·f(x)` whose coefficients `v_ℓ` are committed in equation (6).
+//!
+//! # Execution and counting
+//!
+//! Both kernels run on the field's Montgomery core with one plain operand,
+//! so every product is a single REDC on plain values:
+//!
+//! * Horner multiplies by `x·R` (converted once per evaluation), and
+//!   [`Poly::eval_each`] runs several polynomials' chains interleaved at
+//!   one point — [`Poly::eval`] is its one-lane case. Each polynomial of
+//!   `len` coefficients records `len` multiplications and `len` additions.
+//! * [`Poly::mul`] converts each non-zero row coefficient once and records
+//!   `rows × len(other)` multiplications and additions, the schoolbook
+//!   count.
+//!
+//! Counts are recorded once per call; the conversions are representation
+//! overhead and are not counted.
 
 use crate::field::PrimeField;
+use crate::ops;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -108,13 +125,42 @@ impl Poly {
         self.coeff(0) == 0
     }
 
-    /// Evaluates the polynomial at `x` by Horner's rule (`deg` multiplications
-    /// and additions, as costed in the paper's Theorem 12).
+    /// Evaluates the polynomial at `x` by Horner's rule (`deg + 1`
+    /// multiplications and additions, the `O(n)` per share of the paper's
+    /// Theorem 12).
     pub fn eval(&self, field: &PrimeField, x: u64) -> u64 {
-        let x = field.reduce(x);
-        let mut acc = 0u64;
-        for &c in self.coeffs.iter().rev() {
-            acc = field.add(field.mul(acc, x), c);
+        let [value] = Poly::eval_each([self], field, x);
+        value
+    }
+
+    /// Evaluates `N` polynomials at one point `x` by Horner's rule, with
+    /// the `N` chains interleaved so their multiplications overlap. The
+    /// chains are aligned at the highest degree; a shorter polynomial's
+    /// missing leading coefficients are zeros, which keep its accumulator
+    /// at zero. Counts are recorded per polynomial as for [`Self::eval`].
+    ///
+    /// # Example
+    /// ```
+    /// use dmw_modmath::{Poly, PrimeField};
+    ///
+    /// let f = PrimeField::new(101)?;
+    /// let p = Poly::from_coeffs(&f, vec![1, 2, 3]);
+    /// let q = Poly::from_coeffs(&f, vec![0, 5]);
+    /// assert_eq!(Poly::eval_each([&p, &q], &f, 7), [p.eval(&f, 7), q.eval(&f, 7)]);
+    /// # Ok::<(), dmw_modmath::ModMathError>(())
+    /// ```
+    pub fn eval_each<const N: usize>(polys: [&Poly; N], field: &PrimeField, x: u64) -> [u64; N] {
+        let len_sum: usize = polys.iter().map(|p| p.coeffs.len()).sum();
+        ops::record_muls(len_sum as u64);
+        ops::record_adds(len_sum as u64);
+        let m = field.mont();
+        let x_r = m.montgomery(field.reduce(x));
+        let top = polys.iter().map(|p| p.coeffs.len()).max().unwrap_or(0);
+        let mut acc = [0u64; N];
+        for k in (0..top).rev() {
+            for (a, p) in acc.iter_mut().zip(&polys) {
+                *a = m.add(m.mul(*a, x_r), p.coeff(k));
+            }
         }
         acc
     }
@@ -140,17 +186,22 @@ impl Poly {
         if self.is_zero() || other.is_zero() {
             return Poly::zero();
         }
+        let m = field.mont();
         let mut coeffs = vec![0u64; self.coeffs.len() + other.coeffs.len() - 1];
+        let mut rows = 0u64;
         for (i, &a) in self.coeffs.iter().enumerate() {
             if a == 0 {
                 continue;
             }
-            for (j, &b) in other.coeffs.iter().enumerate() {
-                if let Some(slot) = coeffs.get_mut(i + j) {
-                    *slot = field.add(*slot, field.mul(a, b));
-                }
+            rows += 1;
+            let a_r = m.montgomery(a);
+            for (slot, &b) in coeffs.iter_mut().skip(i).zip(&other.coeffs) {
+                *slot = m.add(*slot, m.mul(a_r, b));
             }
         }
+        let products = rows * other.coeffs.len() as u64;
+        ops::record_muls(products);
+        ops::record_adds(products);
         Poly::from_coeffs(field, coeffs)
     }
 
@@ -306,6 +357,129 @@ mod tests {
             for (x, v) in xs.iter().zip(&many) {
                 prop_assert_eq!(p.eval(&f, *x), *v);
             }
+        }
+    }
+
+    /// Horner with the scalar primitives: the oracle for the kernel.
+    fn plain_eval(field: &PrimeField, p: &Poly, x: u64) -> u64 {
+        let m = field.modulus();
+        let x = x % m;
+        p.coeffs().iter().rev().fold(0, |acc, &c| {
+            crate::arith::add_mod(crate::arith::mul_mod(acc, x, m), c, m)
+        })
+    }
+
+    /// Schoolbook product with the scalar primitives: the oracle for
+    /// [`Poly::mul`].
+    fn plain_mul(field: &PrimeField, a: &Poly, b: &Poly) -> Vec<u64> {
+        let m = field.modulus();
+        let mut out = vec![0u64; (a.coeffs().len() + b.coeffs().len()).saturating_sub(1)];
+        for (i, &x) in a.coeffs().iter().enumerate() {
+            for (j, &y) in b.coeffs().iter().enumerate() {
+                out[i + j] = crate::arith::add_mod(out[i + j], crate::arith::mul_mod(x, y, m), m);
+            }
+        }
+        while out.last() == Some(&0) {
+            out.pop();
+        }
+        out
+    }
+
+    fn kernel_fields() -> [PrimeField; 3] {
+        [1031, 0x7FFF_FFFF_FFFF_FFE7, 18_446_744_073_709_551_557]
+            .map(|p| PrimeField::new(p).unwrap())
+    }
+
+    #[test]
+    fn eval_each_matches_eval_per_polynomial_with_counts() {
+        for f in kernel_fields() {
+            let mut r = rng();
+            let polys = [
+                Poly::random_zero_constant(&f, 3, &mut r),
+                Poly::zero(),
+                Poly::random_zero_constant(&f, 17, &mut r),
+                Poly::from_coeffs(&f, vec![f.modulus() - 1; 9]),
+            ];
+            let refs = [&polys[0], &polys[1], &polys[2], &polys[3]];
+            for x in [0, 1, f.modulus() - 1, 123_456_789, u64::MAX] {
+                crate::ops::reset_ops();
+                let each = Poly::eval_each(refs, &f, x);
+                let counted = crate::ops::take_ops();
+                let len: u64 = polys.iter().map(|p| p.coeffs().len() as u64).sum();
+                assert_eq!(
+                    counted,
+                    crate::OpsSnapshot {
+                        mul: len,
+                        add: len,
+                        inv: 0,
+                        pow: 0
+                    }
+                );
+                for (p, &v) in polys.iter().zip(&each) {
+                    assert_eq!(v, p.eval(&f, x));
+                    assert_eq!(v, plain_eval(&f, p, x));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_counts_len_muls_and_adds() {
+        let f = field();
+        let p = Poly::from_coeffs(&f, vec![0, 4, 0, 9]);
+        crate::ops::reset_ops();
+        let _ = p.eval(&f, 5);
+        assert_eq!(
+            crate::ops::take_ops(),
+            crate::OpsSnapshot {
+                mul: 4,
+                add: 4,
+                inv: 0,
+                pow: 0
+            }
+        );
+    }
+
+    #[test]
+    fn mul_counts_nonzero_rows_times_len() {
+        let f = field();
+        let a = Poly::from_coeffs(&f, vec![0, 3, 0, 5]); // two non-zero rows
+        let b = Poly::from_coeffs(&f, vec![1, 2, 3]);
+        crate::ops::reset_ops();
+        let prod = a.mul(&f, &b);
+        assert_eq!(
+            crate::ops::take_ops(),
+            crate::OpsSnapshot {
+                mul: 6,
+                add: 6,
+                inv: 0,
+                pow: 0
+            }
+        );
+        assert_eq!(prod.coeffs(), plain_mul(&f, &a, &b).as_slice());
+    }
+
+    proptest! {
+        #[test]
+        fn eval_matches_plain_horner(
+            which in 0usize..3,
+            raw in proptest::collection::vec(proptest::num::u64::ANY, 0..24),
+            x in proptest::num::u64::ANY,
+        ) {
+            let f = kernel_fields()[which];
+            let p = Poly::from_coeffs(&f, raw);
+            prop_assert_eq!(p.eval(&f, x), plain_eval(&f, &p, x));
+        }
+
+        #[test]
+        fn mul_matches_schoolbook_oracle(
+            which in 0usize..3,
+            a in proptest::collection::vec(proptest::num::u64::ANY, 0..16),
+            b in proptest::collection::vec(proptest::num::u64::ANY, 0..16),
+        ) {
+            let f = kernel_fields()[which];
+            let (pa, pb) = (Poly::from_coeffs(&f, a), Poly::from_coeffs(&f, b));
+            prop_assert_eq!(pa.mul(&f, &pb).coeffs(), plain_mul(&f, &pa, &pb).as_slice());
         }
     }
 }

@@ -5,43 +5,17 @@
 //! test — exact for every `u64` thanks to a known-sufficient witness set —
 //! and random prime generation used by [`crate::group`] to build those
 //! parameters.
+//!
+//! Primality testing is *setup* work, not protocol work: it runs on the
+//! crate's Montgomery core directly, which bypasses the [`crate::ops`]
+//! counters, so it never pollutes the Table 1 computation measurements.
 
+use crate::mont::Montgomery;
 use rand::Rng;
 
 /// Witness set proven sufficient for deterministic Miller–Rabin on all
 /// integers below 3.3 · 10^24 (Sorenson & Webster), which covers `u64`.
 const WITNESSES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
-
-/// Multiplication that bypasses the [`crate::ops`] counters: primality
-/// testing is *setup* work, not protocol work, and must not pollute the
-/// Table 1 computation measurements.
-#[inline]
-fn mul_raw(a: u64, b: u64, m: u64) -> u64 {
-    // In range: the residue of `% m` is `< m <= u64::MAX`.
-    #[allow(clippy::cast_possible_truncation)]
-    {
-        ((a as u128 * b as u128) % m as u128) as u64
-    }
-}
-
-/// Exponentiation that bypasses the [`crate::ops`] counters.
-fn pow_raw(base: u64, mut exp: u64, m: u64) -> u64 {
-    if m == 1 {
-        return 0;
-    }
-    let mut result: u64 = 1;
-    let mut acc = base % m;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            result = mul_raw(result, acc, m);
-        }
-        exp >>= 1;
-        if exp > 0 {
-            acc = mul_raw(acc, acc, m);
-        }
-    }
-    result
-}
 
 /// Returns `true` iff `n` is prime. Deterministic for all `u64` inputs.
 ///
@@ -70,14 +44,19 @@ pub fn is_prime(n: u64) -> bool {
         d /= 2;
         s += 1;
     }
+    // Work in Montgomery form throughout: n is odd here, and ±1 are
+    // compared in that form, so nothing converts back.
+    let mont = Montgomery::new(n);
+    let one = mont.one();
+    let minus_one = n - one;
     'witness: for &a in &WITNESSES {
-        let mut x = pow_raw(a % n, d, n);
-        if x == 1 || x == n - 1 {
+        let mut x = mont.pow(mont.montgomery(a % n), d);
+        if x == one || x == minus_one {
             continue;
         }
         for _ in 0..s - 1 {
-            x = mul_raw(x, x, n);
-            if x == n - 1 {
+            x = mont.mul(x, x);
+            if x == minus_one {
                 continue 'witness;
             }
         }
@@ -240,6 +219,38 @@ mod tests {
             for between in (n + 1)..p {
                 prop_assert!(!naive_is_prime(between));
             }
+        }
+    }
+
+    #[test]
+    fn strong_pseudoprimes_to_small_base_sets_rejected() {
+        // Strong pseudoprimes to the bases {2,3,5}, {2..11}, {2..13} and
+        // {2..17}, and a semiprime of two 32-bit primes just below 2⁶⁴.
+        for n in [
+            25_326_001u64,
+            2_152_302_898_747,
+            3_474_749_660_383,
+            341_550_071_728_321,
+            4_294_967_291 * 4_294_967_279,
+        ] {
+            assert!(!is_prime(n), "{n} is composite");
+        }
+    }
+
+    #[test]
+    fn primes_just_below_two_to_the_64_accepted() {
+        for k in [59u64, 83, 95, 179, 189, 257] {
+            assert!(is_prime(u64::MAX - k + 1), "2^64 - {k}");
+        }
+        assert!(!is_prime(u64::MAX));
+        assert!(!is_prime(u64::MAX - 1));
+    }
+
+    proptest! {
+        #[test]
+        fn matches_trial_division_on_32_bit_inputs(n in proptest::num::u32::ANY) {
+            let n = u64::from(n);
+            prop_assert_eq!(is_prime(n), naive_is_prime(n));
         }
     }
 }

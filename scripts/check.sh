@@ -23,6 +23,9 @@
 #      isolated so a recovery regression is named before the full suite
 #   7. cargo test                 -- full workspace suite (which re-runs
 #      dmw-lint as an integration test, so CI cannot skip it)
+#   7a. release kernel tests      -- dmw-modmath and dmw-crypto again with
+#      optimizations on and debug assertions off: the configuration the
+#      benchmark and the reproduce report run the Montgomery kernels in
 #   7b. benchmark build + tests   -- dmwbench/ is its own workspace, so
 #      neither step 7 nor tier-1 compiles it; an API change the benchmark
 #      depends on (e.g. the `LockstepTransport` name) fails here
@@ -79,6 +82,9 @@ cargo test --quiet -p integration-tests --test recovery_determinism
 
 echo "==> cargo test (workspace)"
 cargo test --quiet --workspace
+
+echo "==> cargo test --release (modmath + crypto kernels)"
+cargo test --release --offline --quiet -p dmw-modmath -p dmw-crypto
 
 echo "==> cargo test (benchmark, dmwbench/)"
 cargo test --release --offline --quiet --manifest-path dmwbench/Cargo.toml
