@@ -2,7 +2,7 @@
 //!
 //! Times the identical trial batch at several thread counts,
 //! cross-checks bit-identity of the results, and emits the
-//! `dmw-bench-batch/v4` JSON baseline — wall-clock timings plus a
+//! `dmw-bench-batch/v5` JSON baseline — wall-clock timings plus a
 //! deterministic per-phase breakdown and the before/after (classic vs
 //! adaptive endpoints) recovery comparison (see `docs/benchmarks.md`):
 //!

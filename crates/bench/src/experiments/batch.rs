@@ -8,7 +8,7 @@
 //! sweep). [`measure`] times the *same* trial batch at several thread
 //! counts and cross-checks that every width produces bit-identical
 //! results; [`Baseline::to_json`] serializes the measurement into the
-//! `dmw-bench-batch/v4` schema documented in `docs/benchmarks.md` —
+//! `dmw-bench-batch/v5` schema documented in `docs/benchmarks.md` —
 //! v2 added a per-phase breakdown (messages, bytes, dwell ticks)
 //! aggregated from the deterministic `dmw-obs` metrics every run
 //! carries; v3 added the chaos workload (reliable delivery over a seeded
@@ -17,10 +17,12 @@
 //! turns that block into a `before`/`after` comparison — the same chaos
 //! batch replayed once through the classic v3 fixed-backoff endpoints
 //! (`before`, untimed) and once through the adaptive endpoints
-//! (`after`: RTT-derived timeouts, selective acks, nack fast path,
-//! coalesced repair), quantifying the recovery-overhead diet. Recovery
-//! control traffic also gets its own `control` row in the `phases`
-//! table, keeping protocol-phase traffic comparable with v3 artifacts.
+//! (`after`: RTT-derived timeouts, selective acks, coalesced repair),
+//! quantifying the recovery-overhead diet; v5 drops the `nacks_sent`
+//! counter from both arms along with the gap-nack fast path it counted.
+//! Recovery control traffic also gets its own `control` row in the
+//! `phases` table, keeping protocol-phase traffic comparable with v3
+//! artifacts.
 //!
 //! The [`run`] report (the `batch-engine` subcommand of `reproduce`)
 //! deliberately contains **no wall-clock numbers** so that
@@ -96,7 +98,7 @@ pub struct Baseline {
     pub traffic: NetworkStats,
     /// Deterministic `dmw-obs` metrics, aggregated over every trial —
     /// the source of the per-phase breakdown (added in schema v2) and
-    /// of the `recovery.after` block (`dmw-bench-batch/v4`).
+    /// of the `recovery.after` block (`dmw-bench-batch/v4` and later).
     pub metrics: MetricsSnapshot,
     /// Chaos workloads only: the same batch replayed sequentially
     /// through the classic v3 fixed-backoff endpoints — the
@@ -244,13 +246,12 @@ fn phase_breakdown(metrics: &MetricsSnapshot) -> Vec<(&'static str, u64, u64, u6
         .collect()
 }
 
-/// The recovery counters of one endpoint mode, in the order the v4
+/// The recovery counters of one endpoint mode, in the order the v5
 /// `before`/`after` blocks serialize them.
 pub const RECOVERY_COUNTERS: &[&str] = &[
     "retransmissions",
     "repair_payloads",
     "acks_sent",
-    "nacks_sent",
     "duplicate_deliveries",
     "suppressed_retransmits",
     "rtt_samples",
@@ -273,7 +274,7 @@ fn recovery_arm(metrics: &MetricsSnapshot, indent: usize) -> String {
 }
 
 impl Baseline {
-    /// Serializes to the `dmw-bench-batch/v4` JSON schema (see
+    /// Serializes to the `dmw-bench-batch/v5` JSON schema (see
     /// `docs/benchmarks.md`): v2's per-phase `phases` breakdown (plus
     /// the `control` row for recovery traffic), v3's workload `chaos`
     /// flag and `degraded_trials` count, and the v4 `recovery` object —
@@ -284,7 +285,7 @@ impl Baseline {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": \"dmw-bench-batch/v4\",\n");
+        out.push_str("  \"schema\": \"dmw-bench-batch/v5\",\n");
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str("  \"workload\": {\n");
         let experiment = if self.workload.chaos {
@@ -515,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn json_has_the_v4_shape() {
+    fn json_has_the_v5_shape() {
         let workload = Workload {
             agents: 4,
             faults: 0,
@@ -525,7 +526,7 @@ mod tests {
         };
         let json = measure(6, workload, &[1, 2]).to_json();
         for needle in [
-            "\"schema\": \"dmw-bench-batch/v4\"",
+            "\"schema\": \"dmw-bench-batch/v5\"",
             "\"experiment\": \"honest-trial-sweep\"",
             "\"trials\": 3",
             "\"chaos\": false",
@@ -539,7 +540,6 @@ mod tests {
             "\"after\": {",
             "\"retransmissions\": 0",
             "\"suppressed_retransmits\": 0",
-            "\"nacks_sent\": 0",
             "\"recovery_rounds\": 0",
             "\"phases\": {",
             "\"bidding\": { \"messages\": ",

@@ -379,6 +379,23 @@ impl DmwAgent {
         (0..self.n()).filter(|&l| self.alive[l]).collect()
     }
 
+    /// Indices at which `publisher`'s participation mask, on any task,
+    /// disagrees with my own `alive`, ascending — the agents whose
+    /// participation an [`AbortReason::InconsistentMask`] against that
+    /// publisher disputes. A mask of the wrong length disputes every
+    /// index.
+    pub(crate) fn mask_disputes(&self, publisher: usize) -> Vec<usize> {
+        (0..self.n())
+            .filter(|&i| {
+                self.tasks.iter().any(|task| {
+                    task.masks[publisher].as_ref().is_some_and(|mask| {
+                        mask.len() != self.alive.len() || mask[i] != self.alive[i]
+                    })
+                })
+            })
+            .collect()
+    }
+
     /// Am I one of `publisher`'s `c + 1` designated rotation verifiers?
     /// Designated verifiers are the cyclically-next live agents after the
     /// publisher, so at most `c` faults leave at least one honest verifier.
@@ -482,7 +499,6 @@ impl DmwAgent {
             | Body::Batch(_)
             | Body::Sealed { .. }
             | Body::Ack { .. }
-            | Body::Nack { .. }
             | Body::Repair { .. }
             | Body::SuspectDead { .. } => {}
         }

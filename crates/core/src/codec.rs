@@ -41,7 +41,7 @@ pub enum DecodeError {
     WrongCommitmentShape,
     /// Sequence ranges violated their invariants: a selective-ack or
     /// repair set that is empty where it may not be, descending, or
-    /// overlapping, or a nack range with `lo > hi`.
+    /// overlapping.
     MalformedRanges,
 }
 
@@ -201,7 +201,8 @@ const TAG_WINNER_CLAIM: u8 = 9;
 const TAG_SEALED: u8 = 10;
 const TAG_ACK: u8 = 11;
 const TAG_SUSPECT_DEAD: u8 = 12;
-const TAG_NACK: u8 = 13;
+// Tag 13 is retired (it carried the removed gap nack) and decodes as
+// an unknown tag.
 const TAG_REPAIR: u8 = 14;
 
 fn encode_abort(reason: &AbortReason, w: &mut Writer) {
@@ -373,11 +374,6 @@ impl Body {
                     w.u64(hi);
                 }
             }
-            Body::Nack { lo, hi } => {
-                w.u8(TAG_NACK);
-                w.u64(*lo);
-                w.u64(*hi);
-            }
             Body::Repair { ack, items } => {
                 assert!(
                     !items
@@ -437,7 +433,6 @@ impl Body {
             }
             Body::Sealed { inner, .. } => 1 + 8 + 8 + inner.encoded_len(),
             Body::Ack { sack, .. } => 1 + 8 + 1 + sack.len() * 16,
-            Body::Nack { .. } => 1 + 8 + 8,
             Body::Repair { items, .. } => {
                 1 + 8
                     + 4
@@ -571,14 +566,6 @@ impl Body {
                 }
                 Body::Ack { ack, sack }
             }
-            TAG_NACK => {
-                let lo = r.u64()?;
-                let hi = r.u64()?;
-                if lo > hi {
-                    return Err(DecodeError::MalformedRanges);
-                }
-                Body::Nack { lo, hi }
-            }
             TAG_REPAIR => {
                 let ack = r.u64()?;
                 let count = r.u32()?;
@@ -704,7 +691,6 @@ mod tests {
                 ack: 41,
                 sack: vec![(43, 45), (47, 47), (50, u64::MAX)],
             },
-            Body::Nack { lo: 7, hi: 9 },
             Body::Repair {
                 ack: 12,
                 items: vec![
@@ -812,10 +798,13 @@ mod tests {
     #[test]
     fn bad_tags_are_rejected() {
         let (encoding, _) = sample_bodies();
-        assert_eq!(
-            Body::decode(&[200], &encoding),
-            Err(DecodeError::BadTag { tag: 200 })
-        );
+        // 200 was never assigned; 13 is the retired nack tag.
+        for tag in [200, 13] {
+            assert_eq!(
+                Body::decode(&[tag], &encoding),
+                Err(DecodeError::BadTag { tag })
+            );
+        }
         // Bad abort tag.
         assert_eq!(
             Body::decode(&[TAG_ABORT, 99], &encoding),
@@ -965,15 +954,6 @@ mod tests {
     #[test]
     fn malformed_ranges_are_rejected() {
         let (encoding, bodies) = sample_bodies();
-        // Nack with lo > hi.
-        let mut w = Writer::new();
-        w.u8(TAG_NACK);
-        w.u64(9);
-        w.u64(7);
-        assert_eq!(
-            Body::decode(&w.buf, &encoding),
-            Err(DecodeError::MalformedRanges)
-        );
         // Sack range adjacent to the cumulative ack (should have been
         // absorbed into it).
         let mut w = Writer::new();

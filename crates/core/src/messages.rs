@@ -120,16 +120,6 @@ pub enum Body {
         /// retransmitting them when a gap stalls the cumulative ack.
         sack: Vec<(u64, u64)>,
     },
-    /// Gap repair request (recovery mode only): the sender is missing
-    /// reverse-link sequence numbers `lo..=hi` and has already buffered
-    /// something beyond them. Fire-and-forget — a lost nack is covered
-    /// by the peer's retransmit timer, so it is never acked or resent.
-    Nack {
-        /// First missing sequence number.
-        lo: u64,
-        /// Last missing sequence number (`lo <= hi`).
-        hi: u64,
-    },
     /// Coalesced retransmission (recovery mode only): every payload the
     /// sender owes one peer in a single envelope, in ascending sequence
     /// order, with the same piggybacked cumulative ack a [`Body::Sealed`]
@@ -167,7 +157,6 @@ impl Body {
             Body::Batch(_) => "batch",
             Body::Sealed { .. } => "sealed",
             Body::Ack { .. } => "ack",
-            Body::Nack { .. } => "nack",
             Body::Repair { .. } => "repair",
             Body::SuspectDead { .. } => "suspect-dead",
         }
@@ -188,7 +177,6 @@ impl Body {
             | Body::Abort { .. }
             | Body::Batch(_)
             | Body::Ack { .. }
-            | Body::Nack { .. }
             | Body::Repair { .. }
             | Body::SuspectDead { .. } => None,
         }
@@ -203,13 +191,13 @@ impl Payload for Body {
         self.encoded_len()
     }
 
-    /// Pure reverse-path control traffic: standalone acks and nacks.
+    /// Pure reverse-path control traffic: standalone acks.
     /// The fault matrix's asymmetric ack-path loss knob
     /// ([`dmw_simnet::FaultPlan::drop_acks_every`]) keys on this, so it
     /// can drop acknowledgments while data — including [`Body::Sealed`]
     /// and [`Body::Repair`] payload carriers — keeps flowing.
     fn is_control(&self) -> bool {
-        matches!(self, Body::Ack { .. } | Body::Nack { .. })
+        matches!(self, Body::Ack { .. })
     }
 }
 

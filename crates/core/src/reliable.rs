@@ -14,7 +14,7 @@
 //! `docs/recovery.md`).
 //!
 //! The default **adaptive** endpoint keeps recovery traffic
-//! proportional to actual loss, with six cooperating mechanisms:
+//! proportional to actual loss, with five cooperating mechanisms:
 //!
 //! 1. **Per-link RTT estimation** ([`RttEstimator`]): every clean ack
 //!    round-trip (first transmission, never retransmitted — Karn's
@@ -32,31 +32,28 @@
 //!    delivered-but-unackable tail messages instead of retransmitting
 //!    them when a single gap stalls the cumulative ack. Overflowing
 //!    range sets degrade to the cumulative-only contract.
-//! 3. **NACK fast path with gap repair**: an out-of-order arrival
-//!    triggers one [`Body::Nack`] naming exactly the missing range; the
-//!    peer answers on its next tick with a single [`Body::Repair`]
-//!    envelope coalescing *every* payload it owes on that link, without
-//!    burning retry-budget attempts. Recovery traffic therefore scales
-//!    with loss *events*, not lost payloads, and a monotone
-//!    nack-watermark per link suppresses nack storms for gaps already
-//!    requested.
-//! 4. **Coalesced repair with a gather window**: every due payload on
-//!    a link — timer-overdue and nack-marked alike — merges into one
-//!    [`Body::Repair`] envelope per tick, and once the link has
-//!    measured a round trip a due repair waits two extra ticks so
-//!    losses from adjacent rounds join the same envelope. Unacked
-//!    payloads older than the link's smoothed round trip ride any
-//!    outgoing repair for free instead of becoming solo envelopes
-//!    later.
-//! 5. **Repair-on-seal**: a fresh envelope leaving for a peer absorbs
+//! 3. **Coalesced repair with a gather window**: every overdue payload
+//!    on a link merges into one [`Body::Repair`] envelope per tick, so
+//!    recovery traffic scales with loss *events*, not lost payloads;
+//!    once the link has measured a round trip a due repair waits two
+//!    extra ticks so losses from adjacent rounds join the same
+//!    envelope. Unacked payloads older than the link's smoothed round
+//!    trip ride any outgoing repair for free instead of becoming solo
+//!    envelopes later.
+//! 4. **Repair-on-seal**: a fresh envelope leaving for a peer absorbs
 //!    any payload whose retransmission is already due on that link —
 //!    the merged envelope replaces a send that was leaving anyway, so
 //!    only the payload copies count as recovery overhead.
-//! 6. **Ack echo**: adaptive standalone acks ship two back-to-back
+//! 5. **Ack echo**: adaptive standalone acks ship two back-to-back
 //!    copies. Consecutive enqueue slots can never both be multiples of
 //!    a periodic drop period `k ≥ 2`, so a deterministic loss schedule
 //!    cannot silently eat an acknowledgment and convert delivered data
 //!    into timer-driven duplicate storms.
+//!
+//! A gap in the inbound stream is repaired by the sender's own
+//! retransmit timer: the receiver's echoed selective ack retires what
+//! it already buffers, so the timer-driven repair carries exactly the
+//! missing payloads.
 //!
 //! [`ReliableEndpoint::classic`] switches a link back to the v3
 //! fixed-backoff behaviour (per-payload [`Body::Sealed`]
@@ -110,8 +107,7 @@ pub struct RetryPolicy {
     /// Ticks before the first retransmission on a link with no RTT
     /// samples, and the ceiling the adaptive timeout is clamped to.
     pub base_timeout: u64,
-    /// Maximum number of timer-driven retransmissions per message, and
-    /// the cap on nack-triggered fast retransmissions.
+    /// Maximum number of timer-driven retransmissions per message.
     pub budget: u32,
 }
 
@@ -221,13 +217,6 @@ struct PendingMsg {
     next_retry: u64,
     /// Timer-driven retransmissions performed so far.
     attempts: u32,
-    /// Nack-triggered fast retransmissions performed so far — bounded
-    /// by the same policy budget as the timer path.
-    nack_retx: u32,
-    /// Set by an inbound [`Body::Nack`] covering this sequence number:
-    /// the tick the request landed. The repair goes out once the link's
-    /// emission delay passes instead of waiting out the timer.
-    fast_retx: Option<u64>,
 }
 
 /// Reliability state of one directed peer link.
@@ -248,12 +237,6 @@ struct ReliableLink {
     /// piggybacked on the next outbound seal, or flushed as a
     /// standalone [`Body::Ack`] when nothing outbound is pending.
     owe_ack: bool,
-    /// A gap repair request to flush on the next tick.
-    owe_nack: Option<(u64, u64)>,
-    /// Highest gap start already nacked — the storm suppressor: the
-    /// same missing range is requested once, and the peer's retransmit
-    /// timer covers a lost nack.
-    last_nack_start: u64,
     /// Round-trip estimate feeding the adaptive retransmit timeout.
     rtt: RttEstimator,
 }
@@ -286,8 +269,8 @@ pub struct ReliableEndpoint {
     /// further protocol traffic is sent to `p`.
     suspected: Vec<bool>,
     /// `true` (the default) enables RTT-adaptive timeouts, selective
-    /// acks, the nack fast path and coalesced repair; `false` pins the
-    /// v3 fixed-backoff per-payload behaviour.
+    /// acks and coalesced repair; `false` pins the v3 fixed-backoff
+    /// per-payload behaviour.
     adaptive: bool,
     metrics: MetricsSnapshot,
 }
@@ -322,43 +305,37 @@ impl ReliableEndpoint {
 
     /// The endpoint's metrics: `retransmissions` (wire envelopes),
     /// `repair_payloads` (payload copies inside repair envelopes),
-    /// `acks_sent`, `nacks_sent`, `sack_ranges`, `rtt_samples`,
-    /// `duplicate_deliveries`, `suppressed_retransmits`,
-    /// `suppressed_sends` and `suspect_dead`, labelled per
-    /// (agent, peer) and — where the runner supplies it — the agent's
-    /// phase at the time.
+    /// `acks_sent`, `sack_ranges`, `rtt_samples`, `duplicate_deliveries`,
+    /// `suppressed_retransmits`, `suppressed_sends` and `suspect_dead`,
+    /// labelled per (agent, peer) and — where the runner supplies it —
+    /// the agent's phase at the time.
     pub fn metrics(&self) -> &MetricsSnapshot {
         &self.metrics
     }
 
-    /// `true` when no outbound message is awaiting an ack and no ack or
-    /// nack is owed — the endpoint's contribution to run quiescence.
+    /// `true` when no outbound message is awaiting an ack and no ack is
+    /// owed — the endpoint's contribution to run quiescence.
     pub fn is_settled(&self) -> bool {
         self.links
             .iter()
-            .all(|l| l.unacked.is_empty() && !l.owe_ack && l.owe_nack.is_none())
+            .all(|l| l.unacked.is_empty() && !l.owe_ack)
     }
 
     /// The earliest tick at which [`ReliableEndpoint::tick`] would emit
     /// control traffic: the minimum `next_retry` over unacked envelopes
     /// on non-suspected links (retransmission or, once the budget is
     /// spent, the suspicion that clears the link), each shifted by the
-    /// link's one-tick gather window and floored by any pending
-    /// nack-triggered fast retransmission, or `Some(0)` — "immediately"
-    /// — when a standalone ack or a gap nack is owed (the scheduler
-    /// clamps to the current tick). `None` when the endpoint is settled toward
-    /// every peer: ticking it before `next_timer()` is then provably a
+    /// link's gather window, or `Some(0)` — "immediately" — when a
+    /// standalone ack is owed (the scheduler clamps to the current
+    /// tick). `None` when the endpoint is settled toward every peer:
+    /// ticking it before `next_timer()` is then provably a
     /// no-op, which is what lets the event-driven scheduler register
     /// retransmission timers as future events instead of rediscovering
     /// them by polling (see `docs/scheduler.md`).
     pub fn next_timer(&self) -> Option<u64> {
-        // Owed acks and nacks flush on the very next tick, even toward
-        // suspected peers.
-        if self
-            .links
-            .iter()
-            .any(|link| link.owe_ack || link.owe_nack.is_some())
-        {
+        // Owed acks flush on the very next tick, even toward suspected
+        // peers.
+        if self.links.iter().any(|link| link.owe_ack) {
             return Some(0);
         }
         // Read-only inspection: every timer surveyed here was scheduled
@@ -370,13 +347,9 @@ impl ReliableEndpoint {
             .filter(|(peer, _)| !self.suspected[*peer])
             .flat_map(|(_, link)| {
                 let delay = link.emission_delay();
-                link.unacked.iter().map(move |pending| {
-                    let due = match pending.fast_retx {
-                        Some(at) => at.min(pending.next_retry),
-                        None => pending.next_retry,
-                    };
-                    due + delay
-                })
+                link.unacked
+                    .iter()
+                    .map(move |pending| pending.next_retry + delay)
             })
             .min()
     }
@@ -449,15 +422,12 @@ impl ReliableEndpoint {
             sent_at: now,
             next_retry: now + rto,
             attempts: 0,
-            nack_retx: 0,
-            fast_retx: None,
         });
         // Repair-on-seal: a fresh envelope to this peer is going on the
-        // wire regardless, so any payload whose retransmission is
-        // already due (timer lapsed or nack-marked) rides inside it
-        // instead of costing a standalone repair envelope at this
-        // tick's sweep. Bookkeeping matches the sweep exactly — timer
-        // rides burn an attempt, nack rides don't — except the final
+        // wire regardless, so any payload whose retransmission timer
+        // already lapsed rides inside it instead of costing a standalone
+        // repair envelope at this tick's sweep. Bookkeeping matches the
+        // sweep exactly — a ride burns an attempt — except the final
         // budgeted attempt, which stays with the sweep so it keeps its
         // two-copy anti-resonance echo and the suspicion handoff (L8:
         // the ride gate below is the same per-message budget).
@@ -465,24 +435,12 @@ impl ReliableEndpoint {
         if adaptive {
             let budget = self.policy.budget;
             for pending in link.unacked.iter_mut() {
-                if pending.seq == seq {
+                if pending.seq == seq || pending.next_retry > now || pending.attempts + 1 >= budget
+                {
                     continue;
                 }
-                let overdue = pending.next_retry <= now;
-                let fast_due = pending.fast_retx.is_some();
-                if !overdue && !fast_due {
-                    continue;
-                }
-                if overdue && pending.attempts + 1 >= budget {
-                    continue;
-                }
-                if overdue {
-                    pending.next_retry = now + (rto << pending.attempts);
-                    pending.attempts += 1;
-                } else {
-                    pending.next_retry = now + (rto << pending.attempts);
-                }
-                pending.fast_retx = None;
+                pending.next_retry = now + (rto << pending.attempts);
+                pending.attempts += 1;
                 due.push((pending.seq, pending.body.clone()));
             }
         }
@@ -518,9 +476,8 @@ impl ReliableEndpoint {
     }
 
     /// Unseals one tick's arrivals: applies piggybacked, standalone and
-    /// selective acks, deduplicates, buffers out-of-order envelopes
-    /// (scheduling a gap nack on the adaptive endpoint), honours repair
-    /// envelopes and nack requests, and returns the in-order protocol
+    /// selective acks, deduplicates, buffers out-of-order envelopes,
+    /// honours repair envelopes, and returns the in-order protocol
     /// messages the agent should see. `now` is the current scheduler
     /// tick, closing ack round-trips for the RTT estimator. Non-sealed
     /// protocol bodies pass through untouched (they cannot occur in
@@ -537,33 +494,15 @@ impl ReliableEndpoint {
                 Body::Sealed { seq, ack, inner } => {
                     self.apply_ack(from, ack, &[], now);
                     self.accept_payload(from, seq, *inner, msg.broadcast, &mut released);
-                    self.schedule_gap_nack(from);
                 }
                 Body::Repair { ack, items } => {
                     self.apply_ack(from, ack, &[], now);
                     for (seq, body) in items {
                         self.accept_payload(from, seq, body, msg.broadcast, &mut released);
                     }
-                    // No gap nack off a repair: the peer just flushed
-                    // everything it owes, so a still-open gap means
-                    // in-flight traffic, not loss.
                 }
                 Body::Ack { ack, sack } => {
                     self.apply_ack(from, ack, &sack, now);
-                }
-                Body::Nack { lo, hi } => {
-                    let budget = self.policy.budget;
-                    let link = &mut self.links[from];
-                    // Nack-triggered fast retransmissions respect the
-                    // same per-message budget as the timer path (L8):
-                    // a nack beyond the budget is ignored and the
-                    // timer/suspicion machinery takes over.
-                    for pending in &mut link.unacked {
-                        if (lo..=hi).contains(&pending.seq) && pending.nack_retx < budget {
-                            pending.nack_retx += 1;
-                            pending.fast_retx = Some(now);
-                        }
-                    }
                 }
                 Body::SuspectDead { peer } => {
                     // Observability only: the exclusion vote reads each
@@ -626,31 +565,6 @@ impl ReliableEndpoint {
         }
     }
 
-    /// After an out-of-order sealed arrival, schedules one nack
-    /// spanning every missing sequence number the receiver can prove
-    /// lost: from the first gap up to just below the highest buffered
-    /// arrival. Buffered seqs inside the span are retired at the sender
-    /// by the selective ack travelling alongside, so the answering
-    /// repair carries exactly the missing payloads — one envelope per
-    /// loss event, however many gaps the event tore. Suppressed when
-    /// that gap start was already requested (the monotone watermark
-    /// that bounds nack storms to one request per gap).
-    fn schedule_gap_nack(&mut self, from: usize) {
-        if !self.adaptive {
-            return;
-        }
-        let link = &mut self.links[from];
-        let Some(&buffered) = link.reorder.keys().next_back() else {
-            return;
-        };
-        let lo = link.recv_cum + 1;
-        let hi = buffered - 1;
-        if lo > link.last_nack_start {
-            link.last_nack_start = lo;
-            link.owe_nack = Some((lo, hi));
-        }
-    }
-
     /// Retires pending messages covered by a cumulative ack (feeding
     /// clean first-transmission round-trips to the RTT estimator) or by
     /// a selective-ack range (counted as suppressed retransmissions:
@@ -665,9 +579,8 @@ impl ReliableEndpoint {
         for pending in link.unacked.drain(..) {
             if pending.seq <= ack {
                 // Karn's rule: only messages that spent none of their
-                // retry budget (no timer or nack retransmission) yield
-                // an unambiguous round-trip.
-                let spent_budget = pending.attempts > 0 || pending.nack_retx > 0;
+                // retry budget yield an unambiguous round-trip.
+                let spent_budget = pending.attempts > 0;
                 if adaptive && !spent_budget {
                     link.rtt.observe(now.saturating_sub(pending.sent_at));
                     samples += 1;
@@ -698,10 +611,10 @@ impl ReliableEndpoint {
 
     /// Advances the retransmit timers one tick and flushes owed control
     /// traffic. Returns what to transmit: coalesced [`Body::Repair`]
-    /// envelopes for overdue or nack-requested messages (adaptive) or
-    /// per-payload [`Body::Sealed`] retransmissions (classic), gap
-    /// [`Body::Nack`]s, standalone [`Body::Ack`]s for peers with
-    /// nothing outbound to piggyback on, and a fire-and-forget
+    /// envelopes for overdue messages (adaptive) or per-payload
+    /// [`Body::Sealed`] retransmissions (classic), standalone
+    /// [`Body::Ack`]s for peers with nothing outbound to piggyback on,
+    /// and a fire-and-forget
     /// [`Body::SuspectDead`] broadcast when a peer's budget exhausts
     /// this tick.
     pub fn tick(&mut self, now: u64, phase: &'static str) -> Vec<(Recipient, Body)> {
@@ -719,17 +632,9 @@ impl ReliableEndpoint {
                     self.tick_classic(now, phase, peer, budget, &mut out);
                 }
             }
-            // Owed nacks and acks flush even toward suspected peers:
-            // neither is ever acked back, so each costs one message and
-            // helps the other side settle.
-            let link = &mut self.links[peer];
-            if let Some((lo, hi)) = link.owe_nack.take() {
-                out.push((Recipient::Unicast(NodeId(peer)), Body::Nack { lo, hi }));
-                let key = Key::named("nacks_sent")
-                    .agent(self.me as u32)
-                    .peer(peer as u32);
-                self.metrics.incr(key, 1);
-            }
+            // Owed acks flush even toward suspected peers: an ack is
+            // never acked back, so it costs one message and helps the
+            // other side settle.
             let link = &mut self.links[peer];
             if link.owe_ack {
                 link.owe_ack = false;
@@ -770,9 +675,8 @@ impl ReliableEndpoint {
         out
     }
 
-    /// The adaptive retransmit sweep for one peer: overdue and
-    /// nack-requested messages coalesce into a single [`Body::Repair`]
-    /// envelope, so one loss event costs one wire transmission however
+    /// The adaptive retransmit sweep for one peer: overdue messages
+    /// coalesce into a single [`Body::Repair`] envelope, so one loss event costs one wire transmission however
     /// many payloads it claimed.
     fn tick_adaptive(
         &mut self,
@@ -790,16 +694,10 @@ impl ReliableEndpoint {
         let mut final_attempt = false;
         let mut items: Vec<(u64, Body)> = Vec::new();
         // Budget-bounded retransmit sweep: every pending message
-        // retries at most `budget` times on the timer path, and the
-        // nack fast path neither burns nor evades that budget — it
-        // resends without advancing `attempts`, but marked messages
-        // were already capped at `budget` nack retransmissions when the
-        // nack arrived (L8).
+        // retries at most `budget` times (L8).
         let mut riders: Vec<usize> = Vec::new();
         for (slot, pending) in link.unacked.iter_mut().enumerate() {
-            let overdue = pending.next_retry + delay <= now;
-            let fast_due = pending.fast_retx.is_some_and(|at| at + delay <= now);
-            if !overdue && !fast_due {
+            if pending.next_retry + delay > now {
                 // Early-retransmit rider: the peer has had a full ack
                 // round-trip for this payload and stayed silent — if a
                 // repair envelope goes out anyway, ride along for free
@@ -809,28 +707,21 @@ impl ReliableEndpoint {
                 }
                 continue;
             }
-            if overdue && pending.attempts >= budget {
+            if pending.attempts >= budget {
                 exhausted = true;
                 break;
             }
-            if overdue {
-                if pending.attempts + 1 >= budget {
-                    final_attempt = true;
-                }
-                pending.next_retry = now + (rto << pending.attempts);
-                pending.attempts += 1;
-            } else {
-                // Fast path: reschedule the timer without burning an
-                // attempt — the repair below is already on the wire.
-                pending.next_retry = now + (rto << pending.attempts);
+            if pending.attempts + 1 >= budget {
+                final_attempt = true;
             }
-            pending.fast_retx = None;
+            pending.next_retry = now + (rto << pending.attempts);
+            pending.attempts += 1;
             items.push((pending.seq, pending.body.clone()));
         }
         if !exhausted && !items.is_empty() {
             // Riders join an envelope that was being emitted anyway;
-            // like the nack fast path they neither burn nor evade the
-            // attempt budget (L8) — their own timer keeps its schedule,
+            // they neither burn nor evade the attempt budget (L8) — the
+            // ride restarts their timer without spending an attempt,
             // and a message that already spent its budget stays grounded.
             for slot in riders {
                 let pending = &mut link.unacked[slot];
@@ -838,9 +729,6 @@ impl ReliableEndpoint {
                     continue;
                 }
                 pending.next_retry = now + (rto << pending.attempts);
-                // The ride answers any pending nack request too — an
-                // armed fast retransmit would only duplicate it.
-                pending.fast_retx = None;
                 items.push((pending.seq, pending.body.clone()));
             }
             items.sort_by_key(|(seq, _)| *seq);
@@ -1307,80 +1195,6 @@ mod tests {
         );
         let tasks: Vec<Option<usize>> = released.iter().map(|d| d.payload.task()).collect();
         assert_eq!(tasks, (1..=13).map(Some).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn gap_detection_nacks_the_exact_missing_range_once() {
-        let mut ep = ReliableEndpoint::new(0, 2, RetryPolicy::default());
-        // Seqs 1-2 lost, 3 arrives: the gap is exactly 1..=2.
-        let _ = ep.process_inbound(0, vec![delivered(1, seal(3, 0, 33))]);
-        let control = ep.tick(0, "bidding");
-        let nacks: Vec<&Body> = control
-            .iter()
-            .map(|(_, b)| b)
-            .filter(|b| matches!(b, Body::Nack { .. }))
-            .collect();
-        assert_eq!(nacks.len(), 1);
-        assert!(matches!(nacks[0], Body::Nack { lo: 1, hi: 2 }));
-        assert_eq!(ep.metrics().counter_total("nacks_sent"), 1);
-        // Another arrival beyond the same gap must not nack again: the
-        // watermark suppresses the storm.
-        let _ = ep.process_inbound(1, vec![delivered(1, seal(4, 0, 44))]);
-        let control = ep.tick(1, "bidding");
-        assert!(
-            !control.iter().any(|(_, b)| matches!(b, Body::Nack { .. })),
-            "same gap start: no second nack"
-        );
-        assert_eq!(ep.metrics().counter_total("nacks_sent"), 1);
-    }
-
-    #[test]
-    fn nack_triggers_coalesced_fast_retransmit_within_budget() {
-        let policy = RetryPolicy {
-            base_timeout: 16,
-            budget: 3,
-        };
-        let mut ep = ReliableEndpoint::new(0, 2, policy);
-        let _ = ep.seal_outgoing(
-            0,
-            "bidding",
-            vec![
-                (Recipient::Unicast(NodeId(1)), ack_body(0)),
-                (Recipient::Unicast(NodeId(1)), ack_body(1)),
-                (Recipient::Unicast(NodeId(1)), ack_body(2)),
-            ],
-        );
-        // The peer requests 1..=2 — long before the 16-tick timer.
-        let _ = ep.process_inbound(1, vec![delivered(1, Body::Nack { lo: 1, hi: 2 })]);
-        assert_eq!(
-            ep.next_timer(),
-            Some(1),
-            "fast retransmit is due at the current tick"
-        );
-        let out = ep.tick(1, "bidding");
-        assert_eq!(out.len(), 1, "one repair envelope for the whole gap");
-        match &out[0].1 {
-            Body::Repair { items, .. } => {
-                let seqs: Vec<u64> = items.iter().map(|(s, _)| *s).collect();
-                assert_eq!(seqs, vec![1, 2], "exactly the nacked range, in order");
-            }
-            other => panic!("unexpected {}", other.kind()),
-        }
-        assert_eq!(ep.metrics().counter_total("retransmissions"), 1);
-        assert_eq!(ep.metrics().counter_total("repair_payloads"), 2);
-        // Nack retransmissions are budgeted: after `budget` requests
-        // per message the fast path goes quiet and the timer machinery
-        // is the only recourse.
-        for round in 0..10u64 {
-            let _ = ep.process_inbound(2 + round, vec![delivered(1, Body::Nack { lo: 1, hi: 2 })]);
-            let _ = ep.tick(2 + round, "bidding");
-        }
-        let fast_total = ep.metrics().counter_total("repair_payloads");
-        assert_eq!(
-            fast_total,
-            2 * u64::from(policy.budget),
-            "each payload fast-retransmits at most budget times"
-        );
     }
 
     #[test]

@@ -293,11 +293,11 @@ impl DmwRunner {
     /// Pins the reliable endpoints to the classic v3 recovery
     /// behaviour — fixed `base_timeout << attempts` backoff, cumulative
     /// acks only, per-payload retransmission — instead of the default
-    /// adaptive mode (RTT-derived timeouts, selective acks, nack fast
-    /// path, coalesced repair; see [`crate::reliable`]). Both modes
-    /// repair to the identical outcome; this knob exists so the bench
-    /// can measure the recovery-overhead difference
-    /// (`dmw-bench-batch/v4`'s before/after recovery block).
+    /// adaptive mode (RTT-derived timeouts, selective acks, coalesced
+    /// repair; see [`crate::reliable`]). Both modes repair to the
+    /// identical outcome; this knob exists so the bench can measure the
+    /// recovery-overhead difference (`dmw-bench-batch/v5`'s
+    /// before/after recovery block).
     #[must_use]
     pub fn with_classic_recovery(mut self, classic: bool) -> Self {
         self.classic_recovery = classic;
@@ -646,7 +646,7 @@ impl DmwRunner {
                 if excluded.is_empty() {
                     result
                 } else {
-                    self.degrade(result, excluded, bids, behaviors, seed, &mut metrics)?
+                    self.degrade(result, excluded, &agents, bids, seed, &mut metrics)?
                 }
             }
             None => result,
@@ -670,12 +670,20 @@ impl DmwRunner {
     /// *violation* are preserved — degradation repairs silence, never
     /// detected deviations — and beyond the threshold the run aborts
     /// [`AbortReason::Unresolvable`].
+    ///
+    /// A participation-mask abort counts as silence, not violation, when
+    /// every surviving detector blamed either silence or a mask that
+    /// disputes only excluded indices: a crash that cut some survivors'
+    /// bidding-phase traffic and not others' splits their masks exactly
+    /// there, and no live publisher is at fault. A split at any
+    /// survivor's index — a live agent delivering its shares
+    /// selectively — still aborts.
     fn degrade(
         &self,
         primary: RunResult,
         excluded: Vec<usize>,
+        agents: &[DmwAgent],
         bids: &ExecutionTimes,
-        behaviors: &[Behavior],
         seed: u64,
         metrics: &mut MetricsSnapshot,
     ) -> Result<RunResult, DmwError> {
@@ -697,7 +705,8 @@ impl DmwRunner {
             let crash_induced = matches!(
                 reason,
                 AbortReason::Unresolvable | AbortReason::TooManyFaults { .. }
-            );
+            ) || (matches!(reason, AbortReason::InconsistentMask { .. })
+                && masks_split_only_by(agents, &excluded));
             if !crash_induced {
                 // A detected deviation (tampered shares, bad lambda, a
                 // disagreeing claim...) zeroes everyone's utility no
@@ -769,7 +778,7 @@ impl DmwRunner {
         let sub_bids = ExecutionTimes::from_rows(sub_rows)?;
         let sub_behaviors: Vec<Behavior> = survivors
             .iter()
-            .map(|&i| behaviors.get(i).copied().unwrap_or(Behavior::Suggested))
+            .filter_map(|&i| agents.get(i).map(DmwAgent::behavior))
             .collect();
         let mut sub_rng = rand::rngs::StdRng::seed_from_u64(seed ^ RECOVERY_SEED_DOMAIN);
         let sub_config = DmwConfig::generate(survivors.len(), c - excluded.len(), &mut sub_rng)?;
@@ -864,6 +873,34 @@ impl DmwRunner {
     }
 }
 
+/// `true` when every non-excluded agent's own detection is a silence
+/// verdict ([`AbortReason::TooManyFaults`], [`AbortReason::Unresolvable`])
+/// or a participation-mask mismatch whose blamed mask disputes only
+/// `excluded` indices. Peer-abort notices carry no evidence of their own
+/// and are skipped.
+fn masks_split_only_by(agents: &[DmwAgent], excluded: &[usize]) -> bool {
+    agents
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !excluded.contains(i))
+        .filter_map(|(_, agent)| agent.abort_reason().map(|reason| (agent, reason)))
+        .all(|(agent, reason)| {
+            if let AbortReason::InconsistentMask { publisher } = reason {
+                agent
+                    .mask_disputes(publisher)
+                    .iter()
+                    .all(|i| excluded.contains(i))
+            } else {
+                matches!(
+                    reason,
+                    AbortReason::PeerAborted { .. }
+                        | AbortReason::Unresolvable
+                        | AbortReason::TooManyFaults { .. }
+                )
+            }
+        })
+}
+
 /// One scheduler tick: poll every agent with its freshly delivered
 /// inbox, trace and meter the logical protocol messages, seal and send
 /// them (through the reliable endpoints in recovery mode), then step the
@@ -936,7 +973,7 @@ fn run_tick<T: Transport<Body>>(
                 }
                 let label = agent.phase().label();
                 for (recipient, body) in endpoint.tick(round, label) {
-                    // Recovery control traffic (acks, nacks, repairs,
+                    // Recovery control traffic (acks, repairs,
                     // suspicion notices) gets its own `control` row in
                     // the per-phase tables, so protocol-phase traffic
                     // stays comparable across bench schema versions.

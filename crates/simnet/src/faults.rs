@@ -86,7 +86,7 @@ pub struct FaultPlan {
     #[serde(default)]
     link_flaps: Vec<LinkFlap>,
     /// Asymmetric ack-path loss: drop every `k`-th *control*
-    /// transmission (acks, nacks) while data traffic is untouched —
+    /// transmission (acks) while data traffic is untouched —
     /// the regime where selective acknowledgment has to earn its keep.
     /// Keyed on a control-only enqueue counter so the schedule is
     /// independent of how much data shares the wire. Absent on older
@@ -128,7 +128,7 @@ impl FaultPlan {
         matches!(self.drop_every, Some(k) if counter.is_multiple_of(k))
     }
 
-    /// Drops every `k`-th *control* transmission (acks, nacks — payloads
+    /// Drops every `k`-th *control* transmission (acks — payloads
     /// reporting [`crate::Payload::is_control`]) while data keeps
     /// flowing: the asymmetric regime where a lost acknowledgment, not a
     /// lost payload, is what forces retransmission.

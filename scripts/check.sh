@@ -94,7 +94,7 @@ cargo bench --no-run --offline --quiet -p dmw-bench
 
 echo "==> bench_batch --smoke (recovery ceilings)"
 # The smoke instance is fully deterministic: the adaptive endpoint
-# produces exactly 135 retransmissions and 102 duplicate deliveries
+# produces exactly 138 retransmissions and 102 duplicate deliveries
 # today, so the ~10% ceilings below trip on any recovery-layer
 # regression long before the committed 5x batch budget is at risk.
 cargo run --quiet -p dmw-bench --bin bench_batch -- --smoke \

@@ -138,12 +138,11 @@ fn chaos_outcomes_are_bit_identical_across_widths() {
 }
 
 #[test]
-fn nack_storm_is_suppressed_under_symmetric_loss() {
+fn half_loss_is_repaired_to_the_lossless_outcome() {
     // 50% symmetric periodic loss: every second transmission (data and
-    // control alike) dies. Gap nacks must stay proportional to loss
-    // events — the per-link watermark may request each gap once — so
-    // the nack volume stays below the ack volume instead of storming,
-    // and the repaired outcome still matches the lossless run exactly.
+    // control alike) dies. The sender's retransmit timer plus the
+    // receiver's echoed selective ack must still repair every gap, and
+    // the repaired outcome must match the lossless run exactly.
     let mut r = rng(SEED ^ 0x57f);
     let cfg = config(6, 1, &mut r);
     let bids = random_bids(&cfg, 3, &mut r);
@@ -168,14 +167,78 @@ fn nack_storm_is_suppressed_under_symmetric_loss() {
         baseline.completed().unwrap(),
         "repair is outcome-invariant even at 50% loss"
     );
-    let nacks = lossy.metrics.counter_total("nacks_sent");
-    let acks = lossy.metrics.counter_total("acks_sent");
-    assert!(nacks > 0, "heavy loss must exercise the nack fast path");
-    assert!(
-        nacks <= acks,
-        "nack storm: {nacks} nacks vs {acks} acks — the watermark must \
-         bound gap requests to one per gap"
-    );
+}
+
+#[test]
+fn crash_that_splits_participation_masks_degrades_instead_of_framing() {
+    // Agent 5 crashes at tick 5 under periodic loss: some survivors
+    // received its bidding-phase traffic before the crash and some did
+    // not, so their participation masks disagree only at index 5. That
+    // split is the crash's doing, not a publisher's selective delivery:
+    // the run must exclude the crashed agent and re-auction, never abort
+    // blaming the honest publisher whose mask differs.
+    let mut r = rng(1000);
+    let cfg = config(8, 1, &mut r);
+    let bids = random_bids(&cfg, 4, &mut r);
+    let run = DmwRunner::new(cfg)
+        .with_recovery()
+        .run(
+            &bids,
+            &[Behavior::Suggested; 8],
+            FaultPlan::none(8).drop_every(3).crash_at(NodeId(5), 5),
+            &mut rng(5),
+        )
+        .expect("valid run");
+    let RunResult::Degraded {
+        excluded,
+        reauctioned_tasks,
+        ..
+    } = &run.result
+    else {
+        panic!("a single crash must degrade, got {:?}", run.result);
+    };
+    assert_eq!(excluded, &vec![5]);
+    assert_eq!(reauctioned_tasks, &vec![0, 1, 2, 3]);
+}
+
+#[test]
+fn mask_split_over_a_live_deviator_still_aborts_beside_a_crash() {
+    // The same crash, but a live agent also withholds its shares from
+    // some peers: the vote excludes the crashed agent, yet the masks
+    // now also disagree at the deviator's index, which no crash
+    // explains. Degradation must not launder that into a re-auction.
+    for (deviator, behavior) in [
+        (2, Behavior::SelectiveShares { threshold: 4 }),
+        (6, Behavior::WithholdShares),
+    ] {
+        let mut r = rng(1000);
+        let cfg = config(8, 1, &mut r);
+        let bids = random_bids(&cfg, 4, &mut r);
+        let mut behaviors = vec![Behavior::Suggested; 8];
+        behaviors[deviator] = behavior;
+        let run = DmwRunner::new(cfg)
+            .with_recovery()
+            .run(
+                &bids,
+                &behaviors,
+                FaultPlan::none(8).drop_every(3).crash_at(NodeId(5), 20),
+                &mut rng(5),
+            )
+            .expect("valid run");
+        assert_eq!(
+            run.metrics.counter_total("excluded_agent"),
+            1,
+            "{behavior:?}: the vote excludes the crashed agent"
+        );
+        assert!(
+            matches!(
+                run.abort_reason(),
+                Some(AbortReason::InconsistentMask { .. })
+            ),
+            "{behavior:?}: selective delivery must still abort, got {:?}",
+            run.result
+        );
+    }
 }
 
 #[test]
