@@ -7,8 +7,9 @@
 //! all-crashed scheduler-saturation ("silence") run at *every* point,
 //! cross-checking the event engine against the poll-every-tick oracle
 //! (backoff up to the oracle ceiling; silence always), and emitting
-//! the `dmw-bench-scale/v1` JSON baseline (see `docs/benchmarks.md`
-//! and `docs/scheduler.md`):
+//! the `dmw-bench-scale/v2` JSON baseline with a cumulative peak
+//! resident set per point (see `docs/benchmarks.md` and
+//! `docs/scheduler.md`):
 //!
 //! ```text
 //! cargo run --release -p dmw-bench --bin bench_scale -- --out BENCH_scale.json
@@ -25,8 +26,11 @@
 //! bit-parity comparison; default 256), `--seed <u64>` (default the
 //! PODC seed), `--out <path>` (write the JSON baseline; omitted =
 //! print to stdout), `--smoke` (n = 8 only, no file output — the
-//! `check.sh` gate). Exits non-zero if any oracle-checked point was
-//! not bit-identical.
+//! `check.sh` gate), `--max-peak-rss-mb <MB>` (memory regression
+//! ceiling: fail when the process's peak resident set after the sweep
+//! exceeds it, or cannot be read). Exits non-zero if any
+//! oracle-checked point was not bit-identical, or the memory ceiling
+//! is exceeded.
 
 use dmw_bench::experiments::scale::{default_shapes, measure_scale, ScaleShape};
 
@@ -37,12 +41,13 @@ struct Options {
     seed: u64,
     out: Option<String>,
     smoke: bool,
+    max_peak_rss_mb: Option<f64>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: bench_scale [--agents a,b,c] [--protocol-ceiling N] \
-         [--oracle-ceiling N] [--seed S] [--out PATH] [--smoke]"
+         [--oracle-ceiling N] [--seed S] [--out PATH] [--smoke] [--max-peak-rss-mb MB]"
     );
     std::process::exit(2);
 }
@@ -61,6 +66,7 @@ fn parse_options() -> Options {
         seed: 20050717, // PODC 2005
         out: None,
         smoke: false,
+        max_peak_rss_mb: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -77,6 +83,7 @@ fn parse_options() -> Options {
             "--seed" => options.seed = parse(it.next()),
             "--out" => options.out = Some(it.next().unwrap_or_else(|| usage())),
             "--smoke" => options.smoke = true,
+            "--max-peak-rss-mb" => options.max_peak_rss_mb = Some(parse(it.next())),
             _ => usage(),
         }
     }
@@ -138,7 +145,7 @@ fn main() {
         };
         eprintln!(
             "  n {:>5} m {:>3} x{:<2}: {}; silence {:>7.3}s ({} of {} ticks active, \
-             {:.3}s polling); bit-identical: {}",
+             {:.3}s polling); bit-identical: {}; peak RSS {} (cumulative)",
             point.shape.agents,
             point.shape.tasks,
             point.shape.trials,
@@ -147,12 +154,29 @@ fn main() {
             point.silence.events_processed,
             point.silence.run_ticks,
             point.silence_polling_wall_secs,
-            point.bit_identical
+            point.bit_identical,
+            point
+                .peak_rss_mb
+                .map_or_else(|| "unavailable".to_owned(), |mb| format!("{mb:.1} MB"))
         );
     }
     if !baseline.all_bit_identical() {
         eprintln!("bench_scale: FAILED — event engine disagreed with the polling oracle");
         std::process::exit(1);
+    }
+    // Memory regression ceiling: published values are shared, so the
+    // sweep's footprint is Θ(m·n²); per-recipient copies would bring
+    // back Θ(m·n³) and blow well past a ceiling set near today's peak.
+    if let Some(ceiling) = options.max_peak_rss_mb {
+        let Some(peak) = baseline.peak_rss_mb() else {
+            eprintln!("bench_scale: FAILED — peak RSS is unavailable, the memory ceiling cannot be checked");
+            std::process::exit(1);
+        };
+        eprintln!("  peak_rss_mb: {peak:.1} (ceiling {ceiling})");
+        if peak > ceiling {
+            eprintln!("bench_scale: FAILED — peak RSS exceeded the memory ceiling");
+            std::process::exit(1);
+        }
     }
     let json = baseline.to_json();
     match &options.out {

@@ -37,7 +37,13 @@
 //! the cheap silence workload is oracle-checked at *every* point, so
 //! the committed baseline proves bit parity through `n = 1024`.
 //!
-//! [`ScaleBaseline::to_json`] emits the `dmw-bench-scale/v1` schema
+//! After each point the process's peak resident set (`VmHWM`) is read
+//! from `/proc/self/status` — here at the bench edge, never in the
+//! deterministic crates (lint rule L7). It is a process-wide high-water
+//! mark, so a point's figure is *cumulative*: the peak of that point and
+//! every point run before it in sweep order.
+//!
+//! [`ScaleBaseline::to_json`] emits the `dmw-bench-scale/v2` schema
 //! documented in `docs/benchmarks.md`.
 
 use super::{config, rng};
@@ -139,6 +145,10 @@ pub struct ScalePoint {
     /// gauge). The silence oracle always contributes; the backoff
     /// oracle contributes up to the oracle ceiling.
     pub bit_identical: bool,
+    /// The process's peak resident set in MB once this point finished —
+    /// cumulative over every earlier point of the sweep (see
+    /// [`peak_rss_mb`]); `None` where `/proc` is unavailable.
+    pub peak_rss_mb: Option<f64>,
 }
 
 /// A measured scale sweep: the artifact `BENCH_scale.json` records.
@@ -157,6 +167,16 @@ pub struct ScaleBaseline {
     pub host_parallelism: usize,
     /// The measured points, in sweep order.
     pub points: Vec<ScalePoint>,
+}
+
+/// The process's peak resident set so far in MB: the `VmHWM` line of
+/// `/proc/self/status`, a high-water mark over the whole process
+/// lifetime. `None` where `/proc` is unavailable or unparsable.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// Sums the deterministic artifact counters of one batch of runs into
@@ -292,6 +312,7 @@ pub fn measure_scale(
                 silence: timing(&silence_runs, silence_wall),
                 silence_polling_wall_secs: silence_polling_wall,
                 bit_identical: backoff_identical && silence_identical,
+                peak_rss_mb: peak_rss_mb(),
             }
         })
         .collect();
@@ -310,12 +331,18 @@ impl ScaleBaseline {
         self.points.iter().all(|p| p.bit_identical)
     }
 
-    /// Serializes to the `dmw-bench-scale/v1` JSON schema (see
+    /// The process's peak resident set after the whole sweep, in MB:
+    /// the last point's cumulative figure.
+    pub fn peak_rss_mb(&self) -> Option<f64> {
+        self.points.last().and_then(|p| p.peak_rss_mb)
+    }
+
+    /// Serializes to the `dmw-bench-scale/v2` JSON schema (see
     /// `docs/benchmarks.md`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": \"dmw-bench-scale/v1\",\n");
+        out.push_str("  \"schema\": \"dmw-bench-scale/v2\",\n");
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!(
             "  \"protocol_ceiling\": {},\n",
@@ -329,6 +356,10 @@ impl ScaleBaseline {
             self.host_parallelism
         ));
         out.push_str("  },\n");
+        out.push_str(
+            "  \"peak_rss_mb_scope\": \"cumulative: process VmHWM after the point, \
+             covering every earlier point\",\n",
+        );
         out.push_str("  \"points\": [\n");
         let rows: Vec<String> = self.points.iter().map(point_json).collect();
         out.push_str(&rows.join(",\n"));
@@ -355,8 +386,8 @@ fn point_json(point: &ScalePoint) -> String {
         Some(w) => workload(w),
         None => "null".to_owned(),
     };
-    let oracle = match point.backoff_polling_wall_secs {
-        Some(secs) => format!("{secs:.6}"),
+    let number = |value: Option<f64>, precision: usize| match value {
+        Some(v) => format!("{v:.precision$}"),
         None => "null".to_owned(),
     };
     format!(
@@ -364,16 +395,18 @@ fn point_json(point: &ScalePoint) -> String {
          \"honest\": {},\n      \"backoff\": {},\n      \
          \"backoff_polling_wall_secs\": {},\n      \
          \"silence\": {},\n      \
-         \"silence_polling_wall_secs\": {:.6},\n      \"bit_identical\": {}\n    }}",
+         \"silence_polling_wall_secs\": {:.6},\n      \"bit_identical\": {}, \
+         \"peak_rss_mb\": {}\n    }}",
         point.shape.agents,
         point.shape.tasks,
         point.shape.trials,
         optional(&point.honest),
         optional(&point.backoff),
-        oracle,
+        number(point.backoff_polling_wall_secs, 6),
         workload(&point.silence),
         point.silence_polling_wall_secs,
-        point.bit_identical
+        point.bit_identical,
+        number(point.peak_rss_mb, 1)
     )
 }
 
@@ -458,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn json_has_the_v1_shape() {
+    fn json_has_the_v2_shape() {
         let shapes = [ScaleShape {
             agents: 8,
             tasks: 2,
@@ -466,7 +499,8 @@ mod tests {
         }];
         let json = measure_scale(5, &shapes, 8, 8).to_json();
         for needle in [
-            "\"schema\": \"dmw-bench-scale/v1\"",
+            "\"schema\": \"dmw-bench-scale/v2\"",
+            "\"peak_rss_mb_scope\": \"cumulative",
             "\"protocol_ceiling\": 8",
             "\"oracle_ceiling\": 8",
             "\"points\": [",
@@ -477,10 +511,29 @@ mod tests {
             "\"silence_polling_wall_secs\": ",
             "\"run_ticks\": ",
             "\"events_processed\": ",
-            "\"bit_identical\": true",
+            "\"bit_identical\": true, \"peak_rss_mb\": ",
             "\"bit_identical_vs_polling_oracle\": true",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
+        }
+    }
+
+    #[test]
+    fn peak_rss_is_recorded_and_cumulative() {
+        let shapes = [8, 8].map(|agents| ScaleShape {
+            agents,
+            tasks: 2,
+            trials: 1,
+        });
+        let baseline = measure_scale(7, &shapes, 0, 8);
+        let peaks: Vec<Option<f64>> = baseline.points.iter().map(|p| p.peak_rss_mb).collect();
+        if std::path::Path::new("/proc/self/status").exists() {
+            let [first, second] = [peaks[0].unwrap(), peaks[1].unwrap()];
+            assert!(first > 0.0);
+            assert!(second >= first, "a high-water mark never falls");
+            assert_eq!(baseline.peak_rss_mb(), Some(second));
+        } else {
+            assert_eq!(peaks, vec![None, None]);
         }
     }
 

@@ -45,6 +45,7 @@ use dmw_obs::{Key, MetricsSink, MetricsSnapshot};
 use dmw_simnet::{Delivered, Recipient};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 // dmw-lint: allow-file(L1-index): every agent/task index in this module is
 // validated at construction (`with_policy` asserts `me < n`, bids are range
@@ -87,7 +88,14 @@ pub enum AgentStatus {
     Done,
 }
 
+/// A published winner claim: `(agent, f, h)` per missing pseudonym.
+pub(crate) type ClaimPoints = Arc<[(usize, u64, u64)]>;
+
 /// Everything an agent accumulates about one task auction.
+///
+/// Published values are stored as the received shared value itself
+/// (the `Arc` the publisher built), never as a private copy, so a
+/// run holds each one once however many agents read it.
 #[derive(Debug, Clone)]
 pub(crate) struct TaskState {
     /// My polynomial quadruple (None for behaviors that never bid).
@@ -98,9 +106,10 @@ pub(crate) struct TaskState {
     pub(crate) bundles: Vec<Option<ShareBundle>>,
     /// Published `(Λ, Ψ)` pairs per agent.
     pub(crate) pairs: Vec<Option<LambdaPsi>>,
-    /// Participation masks published alongside `Λ/Ψ`, per publisher —
-    /// compared against my own `alive` when the resolution phase acts.
-    pub(crate) masks: Vec<Option<Vec<bool>>>,
+    /// Participation masks published alongside `Λ/Ψ`, per publisher
+    /// (self included) — compared against my own `alive` when the
+    /// resolution phase acts.
+    pub(crate) masks: Vec<Option<Arc<[bool]>>>,
     /// Resolved first price.
     pub(crate) first_price: Option<u64>,
     /// The designated discloser set, fixed when resolution acts (the
@@ -110,10 +119,10 @@ pub(crate) struct TaskState {
     /// equation (14) needs and identification must consult winner claims.
     pub(crate) needs_fallback: bool,
     /// Disclosed `f`-columns per discloser.
-    pub(crate) disclosures: Vec<Option<Vec<u64>>>,
+    pub(crate) disclosures: Vec<Option<Arc<[u64]>>>,
     /// Winner-claim supplements per claimant: `(agent, f, h)` evaluations
     /// at non-live pseudonyms (the pre-bidding-crash fallback).
-    pub(crate) claims: Vec<Option<Vec<(usize, u64, u64)>>>,
+    pub(crate) claims: Vec<Option<ClaimPoints>>,
     /// Identified winner.
     pub(crate) winner: Option<usize>,
     /// Published excluded pairs per agent.
@@ -157,8 +166,9 @@ pub struct DmwAgent {
     pub(crate) alive: Vec<bool>,
     /// `faulty[ℓ]`: fell silent at a later stage. `faulty ⊆ alive`.
     pub(crate) faulty: Vec<bool>,
-    /// My computed payment claim (bid units), present once Done.
-    pub(crate) claim: Option<Vec<u64>>,
+    /// My computed payment claim (bid units), present once Done — the
+    /// same shared vector the claim broadcast carries.
+    pub(crate) claim: Option<Arc<[u64]>>,
     /// Threads the Phase III.1 share-verification batch fans over
     /// (`1` = sequential, the default).
     pub(crate) verify_width: usize,
@@ -590,7 +600,7 @@ impl DmwAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmw_simnet::NodeId;
+    use dmw_simnet::{Network, NodeId, Transport};
     use rand::SeedableRng;
 
     fn config(n: usize, c: usize, seed: u64) -> DmwConfig {
@@ -699,6 +709,67 @@ mod tests {
         assert!(out
             .iter()
             .any(|(r, b)| matches!(b, Body::Abort { .. }) && matches!(r, Recipient::Broadcast)));
+    }
+
+    #[test]
+    fn published_values_are_shared_not_copied() {
+        // Drive an honest n = 5, m = 2 run over the lockstep network by
+        // hand, then check that every reader holds the publisher's own
+        // allocation of each dashed-arrow value, not a copy of it.
+        let n = 5;
+        let cfg = config(n, 1, 9);
+        let mut agents: Vec<DmwAgent> = (0..n)
+            .map(|i| {
+                let bids = vec![1 + (i as u64 % 3), 3 - (i as u64 % 3)];
+                DmwAgent::new(cfg.clone(), i, bids, Behavior::Suggested, 42)
+            })
+            .collect();
+        let mut net = Network::<Body>::new(n);
+        for tick in 0..8 {
+            for (i, agent) in agents.iter_mut().enumerate() {
+                let inbox = net.take_inbox(NodeId(i));
+                for (to, body) in agent.poll_at(tick, inbox) {
+                    match to {
+                        Recipient::Unicast(peer) => net.send(NodeId(i), peer, body),
+                        Recipient::Broadcast => net.broadcast(NodeId(i), body),
+                    }
+                }
+            }
+            net.step();
+        }
+        assert!(agents.iter().all(|a| *a.status() == AgentStatus::Done));
+        let mut disclosures = 0;
+        for (sender, publisher) in agents.iter().enumerate() {
+            // One participation mask serves all m publications.
+            let mask = publisher.tasks[0].masks[sender].as_ref().unwrap();
+            assert!(Arc::ptr_eq(
+                publisher.tasks[1].masks[sender].as_ref().unwrap(),
+                mask
+            ));
+            for (task, own) in publisher.tasks.iter().enumerate() {
+                let commitments = own.commitments[sender].as_ref().unwrap();
+                for reader in agents.iter().filter(|r| r.me != sender) {
+                    let held = &reader.tasks[task];
+                    assert!(
+                        held.commitments[sender]
+                            .as_ref()
+                            .unwrap()
+                            .shares_storage_with(commitments),
+                        "agent {} copied {sender}'s commitments for task {task}",
+                        reader.me
+                    );
+                    assert!(Arc::ptr_eq(held.masks[sender].as_ref().unwrap(), mask));
+                    if let Some(disclosure) = &own.disclosures[sender] {
+                        disclosures += 1;
+                        assert!(Arc::ptr_eq(
+                            held.disclosures[sender].as_ref().unwrap(),
+                            disclosure
+                        ));
+                    }
+                }
+            }
+        }
+        assert!(disclosures > 0, "the run must disclose something");
     }
 
     #[test]

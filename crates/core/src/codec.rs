@@ -316,7 +316,7 @@ impl Body {
                 w.u8(TAG_WINNER_CLAIM);
                 w.u32(*task as u32);
                 w.u32(points.len() as u32);
-                for &(agent, f, h) in points {
+                for &(agent, f, h) in points.iter() {
                     w.u32(agent as u32);
                     w.u64(f);
                     w.u64(h);
@@ -447,6 +447,8 @@ impl Body {
 
     /// Decodes a message from its wire form. Commitment vectors are
     /// validated against `encoding` (all three must have `σ` entries).
+    /// Each published vector is decoded into one shared `Arc`, so a
+    /// decoded body clones as cheaply as one built in memory.
     ///
     /// # Errors
     ///
@@ -480,11 +482,11 @@ impl Body {
                     lambda: r.u64()?,
                     psi: r.u64()?,
                 },
-                included: r.bools()?,
+                included: r.bools()?.into(),
             },
             TAG_DISCLOSE => Body::Disclose {
                 task: r.u32()? as usize,
-                f_values: r.u64s()?,
+                f_values: r.u64s()?.into(),
             },
             TAG_WINNER_CLAIM => {
                 let task = r.u32()? as usize;
@@ -496,7 +498,10 @@ impl Body {
                 for _ in 0..count {
                     points.push((r.u32()? as usize, r.u64()?, r.u64()?));
                 }
-                Body::WinnerClaim { task, points }
+                Body::WinnerClaim {
+                    task,
+                    points: points.into(),
+                }
             }
             TAG_EXCLUDED => Body::Excluded {
                 task: r.u32()? as usize,
@@ -506,7 +511,7 @@ impl Body {
                 },
             },
             TAG_PAYMENT => Body::PaymentClaim {
-                payments: r.u64s()?,
+                payments: r.u64s()?.into(),
             },
             TAG_ABORT => Body::Abort {
                 reason: decode_abort(&mut r)?,
@@ -640,15 +645,15 @@ mod tests {
                     lambda: 42,
                     psi: 99,
                 },
-                included: vec![true, false, true, true, false],
+                included: vec![true, false, true, true, false].into(),
             },
             Body::Disclose {
                 task: 1,
-                f_values: vec![5, 6, 7, 8, 9],
+                f_values: vec![5, 6, 7, 8, 9].into(),
             },
             Body::WinnerClaim {
                 task: 0,
-                points: vec![(3, 11, 12), (4, 13, u64::MAX)],
+                points: vec![(3, 11, 12), (4, 13, u64::MAX)].into(),
             },
             Body::Excluded {
                 task: 2,
@@ -658,7 +663,7 @@ mod tests {
                 },
             },
             Body::PaymentClaim {
-                payments: vec![0, 3, 0, 2, 0],
+                payments: vec![0, 3, 0, 2, 0].into(),
             },
             Body::Abort {
                 reason: AbortReason::InvalidShares { sender: 4 },
@@ -680,7 +685,7 @@ mod tests {
                 ack: u64::MAX - 3,
                 inner: Box::new(Body::Disclose {
                     task: 1,
-                    f_values: vec![5, 6, 7],
+                    f_values: vec![5, 6, 7].into(),
                 }),
             },
             Body::Ack {
@@ -698,7 +703,7 @@ mod tests {
                         3,
                         Body::Disclose {
                             task: 1,
-                            f_values: vec![5, 6, 7],
+                            f_values: vec![5, 6, 7].into(),
                         },
                     ),
                     (
@@ -1020,11 +1025,10 @@ mod tests {
     fn mask_bit_packing_handles_boundaries() {
         let (encoding, _) = sample_bodies();
         for len in [1usize, 7, 8, 9, 16, 17] {
-            let included: Vec<bool> = (0..len).map(|i| i % 3 == 0).collect();
             let body = Body::Lambda {
                 task: 0,
                 pair: LambdaPsi { lambda: 1, psi: 2 },
-                included: included.clone(),
+                included: (0..len).map(|i| i % 3 == 0).collect(),
             };
             let decoded = Body::decode(&body.encode(), &encoding).unwrap();
             assert_eq!(decoded, body, "mask length {len}");

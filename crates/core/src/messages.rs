@@ -8,6 +8,12 @@
 //! Every variant reports its approximate wire size via
 //! [`dmw_simnet::Payload`]; the byte counters feed the communication-cost
 //! experiment.
+//!
+//! A published value is one value every recipient reads, so the vector
+//! fields of the dashed-arrow bodies are shared slices (`Arc<[T]>`, and
+//! [`Commitments`] is `Arc`-backed): cloning a body per broadcast
+//! recipient, per reliable-delivery envelope or per stored copy bumps a
+//! reference count instead of copying the vector.
 
 use crate::error::AbortReason;
 use dmw_crypto::polynomials::ShareBundle;
@@ -15,6 +21,7 @@ use dmw_crypto::resolution::LambdaPsi;
 use dmw_crypto::Commitments;
 use dmw_simnet::Payload;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One protocol message. `task` fields index the parallel per-task
 /// auctions; payment claims cover all tasks at once.
@@ -44,7 +51,7 @@ pub enum Body {
         /// The published pair.
         pair: LambdaPsi,
         /// `included[ℓ]` = agent `ℓ`'s polynomials are in `E` and `H`.
-        included: Vec<bool>,
+        included: Arc<[bool]>,
     },
     /// Phase III.3 (dashed arrow): the sender discloses the `f_ℓ(α_k)`
     /// values it holds (its own point `α_k`, one value per agent `ℓ`).
@@ -52,7 +59,7 @@ pub enum Body {
         /// Task index.
         task: usize,
         /// `f_values[ℓ] = f_ℓ(α_k)` as held by the sender `k`.
-        f_values: Vec<u64>,
+        f_values: Arc<[u64]>,
     },
     /// Phase III.3 fallback (dashed arrow): crashes before bidding can
     /// leave fewer live share points than winner identification needs
@@ -65,7 +72,7 @@ pub enum Body {
         task: usize,
         /// `(agent, f, h)` per missing point: `f = f_me(α_agent)` and
         /// `h = h_me(α_agent)` for each non-live agent `agent`.
-        points: Vec<(usize, u64, u64)>,
+        points: Arc<[(usize, u64, u64)]>,
     },
     /// Phase III.4 (dashed arrow): the winner-excluded `(Λ'_i, Ψ'_i)`.
     Excluded {
@@ -78,7 +85,7 @@ pub enum Body {
     /// submitted for agreement at the payment infrastructure.
     PaymentClaim {
         /// `payments[ℓ]` = claimed payment (in bid units) owed to agent `ℓ`.
-        payments: Vec<u64>,
+        payments: Arc<[u64]>,
     },
     /// Protocol abort notification: the sender detected a violation and
     /// terminated (the enforcement mechanism of Theorems 4 and 8).
@@ -219,7 +226,7 @@ mod tests {
         assert_eq!(b.kind(), "shares");
         assert_eq!(b.task(), Some(3));
         let b = Body::PaymentClaim {
-            payments: vec![1, 2],
+            payments: vec![1, 2].into(),
         };
         assert_eq!(b.kind(), "payment-claim");
         assert_eq!(b.task(), None);
@@ -234,11 +241,11 @@ mod tests {
     fn sizes_scale_with_content() {
         let small = Body::Disclose {
             task: 0,
-            f_values: vec![1; 4],
+            f_values: vec![1; 4].into(),
         };
         let large = Body::Disclose {
             task: 0,
-            f_values: vec![1; 16],
+            f_values: vec![1; 16].into(),
         };
         assert!(large.size_bytes() > small.size_bytes());
         // size_bytes is the exact encoded length.

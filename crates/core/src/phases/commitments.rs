@@ -9,6 +9,7 @@ use dmw_crypto::commitments::verify_shares_batch;
 use dmw_crypto::resolution::compute_lambda_psi;
 use dmw_obs::{Key, MetricsSink};
 use dmw_simnet::Recipient;
+use std::sync::Arc;
 
 // dmw-lint: allow-file(L1-index): agent/task indices are validated at
 // `DmwAgent` construction and every per-agent vector is allocated with
@@ -94,8 +95,9 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
     if matches!(agent.behavior, Behavior::SilentAfterBidding) {
         return;
     }
-    // Publish lambda/psi over the live set (III.2, eq (10)).
-    let included = agent.alive.clone();
+    // Publish lambda/psi over the live set (III.2, eq (10)). One mask
+    // is shared by all m publications.
+    let included: Arc<[bool]> = agent.alive.as_slice().into();
     let alive = agent.alive_indices();
     for task in 0..agent.m() {
         let e_shares: Vec<u64> = alive
@@ -108,6 +110,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             .collect();
         let honest = compute_lambda_psi(&group, &e_shares, &h_shares);
         agent.tasks[task].pairs[agent.me] = Some(honest);
+        agent.tasks[task].masks[agent.me] = Some(Arc::clone(&included));
         let mut pair = honest;
         if matches!(agent.behavior, Behavior::WrongLambda) {
             pair.lambda = group.zp().mul(pair.lambda, group.z1());
@@ -117,7 +120,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             Body::Lambda {
                 task,
                 pair,
-                included: included.clone(),
+                included: Arc::clone(&included),
             },
         ));
     }

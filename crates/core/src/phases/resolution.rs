@@ -8,6 +8,7 @@ use crate::strategy::Behavior;
 use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi};
 use dmw_crypto::Commitments;
 use dmw_simnet::Recipient;
+use std::sync::Arc;
 
 // dmw-lint: allow-file(L1-index): agent/task indices are validated at
 // `DmwAgent` construction and every per-agent vector is allocated with
@@ -43,7 +44,7 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
         }
         for t in 0..agent.m() {
             if let Some(mask) = &agent.tasks[t].masks[l] {
-                if *mask != agent.alive {
+                if **mask != *agent.alive {
                     agent.abort(AbortReason::InconsistentMask { publisher: l }, out);
                     return;
                 }
@@ -134,7 +135,8 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             if matches!(agent.behavior, Behavior::WrongDisclosure) {
                 f_values[agent.me] = group.zq().add(f_values[agent.me], 1);
             }
-            agent.tasks[task].disclosures[agent.me] = Some(f_values.clone());
+            let f_values: Arc<[u64]> = f_values.into();
+            agent.tasks[task].disclosures[agent.me] = Some(Arc::clone(&f_values));
             out.push((Recipient::Broadcast, Body::Disclose { task, f_values }));
         }
     }
@@ -161,14 +163,14 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
             continue;
         };
         let zq = group.zq();
-        let points: Vec<(usize, u64, u64)> = (0..agent.n())
+        let points: Arc<[(usize, u64, u64)]> = (0..agent.n())
             .filter(|l| !live.contains(l))
             .map(|l| {
                 let alpha = agent.config.pseudonym(l);
                 (l, polys.f().eval(&zq, alpha), polys.h().eval(&zq, alpha))
             })
             .collect();
-        agent.tasks[task].claims[agent.me] = Some(points.clone());
+        agent.tasks[task].claims[agent.me] = Some(Arc::clone(&points));
         out.push((Recipient::Broadcast, Body::WinnerClaim { task, points }));
     }
 }

@@ -8,6 +8,7 @@ use crate::strategy::Behavior;
 use dmw_crypto::resolution::{resolve_min_bid, verify_lambda_psi};
 use dmw_crypto::Commitments;
 use dmw_simnet::Recipient;
+use std::sync::Arc;
 
 // dmw-lint: allow-file(L1-index): agent/task indices are validated at
 // `DmwAgent` construction and every per-agent vector is allocated with
@@ -108,15 +109,11 @@ pub(crate) fn act(agent: &mut DmwAgent, out: &mut Vec<(Recipient, Body)>) {
         let winner = agent.tasks[task].winner.invariant("identified");
         payments[winner] += agent.tasks[task].second_price.invariant("resolved");
     }
-    agent.claim = Some(payments.clone());
-    let mut claimed = payments;
     if let Behavior::InflatedPaymentClaim { delta } = agent.behavior {
-        claimed[agent.me] += delta;
-        agent.claim = Some(claimed.clone());
+        payments[agent.me] += delta;
     }
-    out.push((
-        Recipient::Broadcast,
-        Body::PaymentClaim { payments: claimed },
-    ));
+    let payments: Arc<[u64]> = payments.into();
+    agent.claim = Some(Arc::clone(&payments));
+    out.push((Recipient::Broadcast, Body::PaymentClaim { payments }));
     agent.status = AgentStatus::Done;
 }

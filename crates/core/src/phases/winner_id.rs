@@ -175,7 +175,7 @@ fn identify_from_claims(
             })
             .collect();
         let mut seen = vec![false; agent.n()];
-        for &(l, f, h) in claim {
+        for &(l, f, h) in claim.iter() {
             // A claimed point may only fill a genuinely missing
             // pseudonym, once.
             if l >= agent.n() || seen[l] || disclosers.contains(&l) {

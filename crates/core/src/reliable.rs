@@ -907,7 +907,7 @@ mod tests {
     fn ack_body(task: usize) -> Body {
         Body::Disclose {
             task,
-            f_values: vec![1, 2],
+            f_values: vec![1, 2].into(),
         }
     }
 

@@ -28,12 +28,25 @@ use crate::error::CryptoError;
 use crate::polynomials::{BidPolynomials, ShareBundle};
 use dmw_modmath::SchnorrGroup;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The published commitment triple `(O, Q, R)` of one agent for one task
 /// (equation (6)). Each vector has exactly `σ` entries; entry `ℓ` (1-based
 /// in the paper) is stored at index `ℓ − 1`.
+///
+/// A published value is one public value all `n` agents read, so the
+/// triple lives behind one [`Arc`]: cloning it — per broadcast recipient,
+/// per stored copy, per verification call — is a reference-count bump,
+/// which keeps a run's commitment memory at `Θ(m·n·σ)` instead of
+/// `Θ(m·n²·σ)`. Equality and hashing compare the vectors, never the
+/// pointers.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Commitments {
+    vectors: Arc<Vectors>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Vectors {
     o: Vec<u64>,
     q: Vec<u64>,
     r: Vec<u64>,
@@ -53,7 +66,7 @@ impl Commitments {
             q.push(group.commit(polys.e().coeff(l), polys.h().coeff(l)));
             r.push(group.commit(polys.f().coeff(l), polys.h().coeff(l)));
         }
-        Commitments { o, q, r }
+        Self::from_vectors(o, q, r)
     }
 
     /// Builds a commitment triple from raw published vectors (e.g. received
@@ -83,30 +96,46 @@ impl Commitments {
                 });
             }
         }
-        Ok(Commitments { o, q, r })
+        Ok(Self::from_vectors(o, q, r))
+    }
+
+    fn from_vectors(o: Vec<u64>, q: Vec<u64>, r: Vec<u64>) -> Self {
+        Commitments {
+            vectors: Arc::new(Vectors { o, q, r }),
+        }
     }
 
     /// The `O` vector (commitments to `e·f`, blinded by `g`).
     pub fn o(&self) -> &[u64] {
-        &self.o
+        &self.vectors.o
     }
 
     /// The `Q` vector (commitments to `e`, blinded by `h`).
     pub fn q(&self) -> &[u64] {
-        &self.q
+        &self.vectors.q
     }
 
     /// The `R` vector (commitments to `f`, blinded by `h`).
     pub fn r(&self) -> &[u64] {
-        &self.r
+        &self.vectors.r
+    }
+
+    /// `true` when `self` and `other` are clones of one published value,
+    /// sharing its storage (not merely equal vectors).
+    pub fn shares_storage_with(&self, other: &Commitments) -> bool {
+        Arc::ptr_eq(&self.vectors, &other.vectors)
     }
 
     /// Tampers with one `Q` entry (multiplies it by `z1`). Used by
-    /// deviation strategies; an honest agent never calls this.
+    /// deviation strategies; an honest agent never calls this. The
+    /// tampered triple is copied on write, so every other holder of the
+    /// original keeps the honest vectors.
     pub fn with_tampered_q(mut self, group: &SchnorrGroup, index: usize) -> Self {
-        let zp = group.zp();
-        if let Some(entry) = self.q.get_mut(index) {
-            *entry = zp.mul(*entry, group.z1());
+        if index < self.q().len() {
+            let vectors = Arc::make_mut(&mut self.vectors);
+            if let Some(entry) = vectors.q.get_mut(index) {
+                *entry = group.zp().mul(*entry, group.z1());
+            }
         }
         self
     }
@@ -158,19 +187,19 @@ impl Commitments {
     /// The public value `Γ = Π_ℓ Q_ℓ^{α^ℓ}` — equals
     /// `z1^{e(α)} · z2^{h(α)}` for honest commitments (equation (8)).
     pub fn gamma(&self, group: &SchnorrGroup, alpha: u64) -> u64 {
-        Self::eval_vector(group, &self.q, alpha)
+        Self::eval_vector(group, self.q(), alpha)
     }
 
     /// The public value `Φ = Π_ℓ R_ℓ^{α^ℓ}` — equals
     /// `z1^{f(α)} · z2^{h(α)}` for honest commitments (equation (9)).
     pub fn phi(&self, group: &SchnorrGroup, alpha: u64) -> u64 {
-        Self::eval_vector(group, &self.r, alpha)
+        Self::eval_vector(group, self.r(), alpha)
     }
 
     /// The public value `Π_ℓ O_ℓ^{α^ℓ}` — equals
     /// `z1^{e(α)·f(α)} · z2^{g(α)}` for honest commitments (equation (7)).
     pub fn omicron(&self, group: &SchnorrGroup, alpha: u64) -> u64 {
-        Self::eval_vector(group, &self.o, alpha)
+        Self::eval_vector(group, self.o(), alpha)
     }
 }
 
@@ -530,6 +559,37 @@ mod tests {
             Commitments::from_parts(&encoding, vec![1], c.q().to_vec(), c.r().to_vec()),
             Err(CryptoError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn tampering_a_clone_copies_on_write() {
+        let (group, encoding, mut rng) = setup();
+        let polys = BidPolynomials::generate(&group, &encoding, 2, &mut rng).unwrap();
+        let original = Commitments::commit(&group, &encoding, &polys);
+        let holder = original.clone();
+        assert!(holder.shares_storage_with(&original));
+        let before = [
+            original.o().to_vec(),
+            original.q().to_vec(),
+            original.r().to_vec(),
+        ];
+
+        let tampered = original.clone().with_tampered_q(&group, 1);
+        assert!(!tampered.shares_storage_with(&original));
+        assert_ne!(tampered.q()[1], original.q()[1]);
+        assert_eq!(tampered.q()[0], original.q()[0]);
+        assert_eq!(tampered.o(), original.o());
+        assert_eq!(tampered.r(), original.r());
+        // The original and every other holder are bit-identical to
+        // before, and still share one allocation.
+        for c in [&original, &holder] {
+            assert_eq!([c.o().to_vec(), c.q().to_vec(), c.r().to_vec()], before);
+        }
+        assert!(holder.shares_storage_with(&original));
+
+        // An out-of-range index changes nothing, so nothing is copied.
+        let untouched = original.clone().with_tampered_q(&group, encoding.sigma());
+        assert!(untouched.shares_storage_with(&original));
     }
 
     #[test]

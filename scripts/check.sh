@@ -39,6 +39,9 @@
 #   9. bench_scale --smoke        -- the event-driven scheduler's n-sweep
 #      harness end-to-end on the smallest point, exiting non-zero if the
 #      event engine and the polling oracle disagree bit-for-bit
+#   9a. bench_scale memory ceiling -- the n = 64 point in release mode,
+#      exiting non-zero if the process's peak RSS exceeds 32 MB (the
+#      regression gate for shared published values)
 #  10. reproduce drift            -- regenerates the full report and the
 #      metrics snapshot under the (default) event engine and compares
 #      byte-for-byte against the committed docs/reproduce_output.md and
@@ -102,6 +105,14 @@ cargo run --quiet -p dmw-bench --bin bench_batch -- --smoke \
 
 echo "==> bench_scale --smoke"
 cargo run --quiet -p dmw-bench --bin bench_scale -- --smoke
+
+echo "==> bench_scale --agents 64 (memory ceiling)"
+# Published values (commitments, masks, disclosures, claims) are shared
+# by every recipient, so the n = 64 point peaks near 17 MB. Deep copies
+# per recipient grow as m*n^3 and measured 46 MB here, so the 32 MB
+# ceiling trips on that regression long before allocator noise does.
+cargo run --release --quiet -p dmw-bench --bin bench_scale -- --agents 64 \
+    --max-peak-rss-mb 32
 
 echo "==> reproduce drift (event engine vs committed report)"
 cargo run --release --quiet -p dmw-bench --bin reproduce -- all \

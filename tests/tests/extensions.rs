@@ -134,12 +134,12 @@ proptest! {
         let cfg = config(4, 0, &mut r);
         let encoding = *cfg.encoding();
         let bodies = vec![
-            Body::Disclose { task, f_values },
-            Body::PaymentClaim { payments },
+            Body::Disclose { task, f_values: f_values.into() },
+            Body::PaymentClaim { payments: payments.into() },
             Body::Lambda {
                 task,
                 pair: dmw_crypto::resolution::LambdaPsi { lambda: e, psi: e ^ 1 },
-                included: mask,
+                included: mask.into(),
             },
             Body::Shares { task, bundle: ShareBundle { e, f: e ^ 2, g: e ^ 3, h: e ^ 4 } },
         ];

@@ -177,7 +177,7 @@ mod transcript_sweep {
             Body::Lambda { pair, .. } | Body::Excluded { pair, .. } => {
                 vec![pair.lambda, pair.psi]
             }
-            Body::Disclose { f_values, .. } => f_values.clone(),
+            Body::Disclose { f_values, .. } => f_values.to_vec(),
             Body::WinnerClaim { points, .. } => {
                 points.iter().flat_map(|&(_, f, h)| [f, h]).collect()
             }
